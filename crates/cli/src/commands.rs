@@ -1481,6 +1481,91 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Generates a small fileserver workload into `dir` and writes its
+    /// first 200 events plus one event naming item 4000000, which the
+    /// items file does not place; returns the lines and the items path.
+    fn unplaced_item_stream(dir: &Path) -> (Vec<String>, std::path::PathBuf) {
+        run_to_string(&[
+            "gen",
+            "fileserver",
+            "--scale",
+            "0.002",
+            "--seed",
+            "7",
+            "--out",
+            dir.to_str().unwrap(),
+        ])
+        .unwrap();
+        let trace = dir.join("fileserver.trace.jsonl");
+        let mut lines: Vec<String> =
+            std::io::BufRead::lines(BufReader::new(File::open(trace).unwrap()))
+                .take(200)
+                .map(|l| l.unwrap())
+                .collect();
+        lines.push(
+            r#"{"ts":999999999,"item":4000000,"offset":0,"len":4096,"kind":"Read"}"#.to_string(),
+        );
+        (lines, dir.join("fileserver.items.json"))
+    }
+
+    fn assert_names_unplaced_record(err: CliError) {
+        let msg = err.to_string();
+        assert!(matches!(err, CliError::Parse(_)), "{msg}");
+        assert!(msg.contains("item 4000000"), "{msg}");
+        assert!(msg.contains("record 201"), "{msg}");
+    }
+
+    #[test]
+    fn online_rejects_an_unplaced_item_in_a_file() {
+        let dir = std::env::temp_dir().join(format!("ees-unplaced-file-{}", std::process::id()));
+        let (lines, items) = unplaced_item_stream(&dir);
+        let trace = dir.join("unplaced.jsonl");
+        std::fs::write(&trace, lines.join("\n") + "\n").unwrap();
+        for shards in ["1", "2"] {
+            let err = run_to_string(&[
+                "online",
+                trace.to_str().unwrap(),
+                items.to_str().unwrap(),
+                "--period",
+                "1",
+                "--shards",
+                shards,
+            ])
+            .unwrap_err();
+            assert_names_unplaced_record(err);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn online_rejects_an_unplaced_numeric_item_over_listen() {
+        let dir = std::env::temp_dir().join(format!("ees-unplaced-net-{}", std::process::id()));
+        let (lines, items) = unplaced_item_stream(&dir);
+        let sock = dir.join("ees.sock");
+        let server = {
+            let args = vec![
+                "online".to_string(),
+                "--listen".to_string(),
+                sock.to_str().unwrap().to_string(),
+                items.to_str().unwrap().to_string(),
+                "--period".to_string(),
+                "1".to_string(),
+            ];
+            std::thread::spawn(move || {
+                let mut buf = Vec::new();
+                run_cli(args, &mut buf)
+            })
+        };
+        let mut s = connect_with_retry(&sock);
+        for line in &lines {
+            writeln!(s, "{line}").unwrap();
+        }
+        drop(s);
+        let err = server.join().unwrap().unwrap_err();
+        assert_names_unplaced_record(err);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn quarantined_shard_fails_the_run_even_without_a_final_barrier() {
         let dir = std::env::temp_dir().join(format!("ees-failshard-test-{}", std::process::id()));

@@ -33,7 +33,6 @@
 pub mod analysis;
 pub mod cache_select;
 pub mod config;
-pub mod explain;
 pub mod hotcold;
 pub mod monitor;
 pub mod pattern;
@@ -48,7 +47,6 @@ pub use analysis::{
 };
 pub use cache_select::{select_preload, select_write_delay};
 pub use config::ProposedConfig;
-pub use explain::explain_plan;
 pub use hotcold::{determine_hot_cold, n_hot, split_hot_cold, HotColdSplit};
 pub use monitor::{MonitorHistory, MonitorHistoryState, PeriodRecord, DEFAULT_PERIOD_CAP};
 pub use pattern::{classify, LogicalIoPattern, PatternMix};

@@ -137,11 +137,6 @@ impl<R: Read> ChunkReader<R> {
         }
     }
 
-    /// Wraps `inner` with the default chunk target.
-    pub fn with_default_target(inner: R) -> Self {
-        Self::new(inner, DEFAULT_CHUNK_BYTES)
-    }
-
     /// Pulls the next newline-aligned chunk, or `None` at end of input.
     pub fn next_chunk(&mut self) -> std::io::Result<Option<RawChunk>> {
         if self.done {

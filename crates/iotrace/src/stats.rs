@@ -232,12 +232,6 @@ impl IntervalBuilder {
         self.reads + self.writes
     }
 
-    /// Long Intervals completed so far (the trailing gap, if long, is only
-    /// known at [`finish`](Self::finish)).
-    pub fn long_intervals_so_far(&self) -> usize {
-        self.long_intervals.len()
-    }
-
     /// Closes the period at `period_end` and returns the item's interval
     /// statistics — identical to running [`analyze_item_period`] over the
     /// same I/Os.

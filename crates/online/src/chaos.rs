@@ -4,9 +4,9 @@
 //! seed:
 //!
 //! 1. generate a synthetic workload (strictly increasing timestamps —
-//!    the [`Sanitizer`]'s contract) and drive it through a clean,
-//!    serial, single-threaded controller → the **baseline** plan
-//!    sequence;
+//!    the [`Sanitizer`]'s contract), render it to NDJSON, and drive it
+//!    through the serial oracle [`run_monitor_serial`] → the
+//!    **baseline** plan sequence;
 //! 2. drive the *same* workload, serialized to NDJSON, through the full
 //!    hardened path: a [`FaultyReader`] injecting malformed/truncated
 //!    lines, duplicates, transpositions, and reader stalls; a
@@ -24,16 +24,16 @@
 //! with a consumer that never drains, pinning the exact accepted/dropped
 //! event accounting when a fault burst overflows mid-batch.
 
-use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
-use crate::controller::{OnlineController, PlanEnvelope, RolloverReason};
+use crate::controller::{PlanEnvelope, RolloverReason};
 use crate::error::OnlineError;
 use crate::fault::{
     silence_injected_panics, FaultRng, FaultSpec, FaultyReader, PanicSchedule, Sanitizer,
 };
 use crate::ingest::{spawn_reader_parallel, OverflowPolicy, RetryingReader};
+use crate::pipeline::run_monitor_serial;
 use crate::shard::{ShardOptions, ShardedController, SupervisionPolicy};
 use ees_core::ProposedConfig;
-use ees_iotrace::ndjson::parse_event_borrowed;
+use ees_iotrace::ndjson::{parse_event_borrowed, write_events};
 use ees_iotrace::{DataItemId, EnclosureId, IoKind, LogicalIoRecord, Micros};
 use ees_replay::{CatalogItem, StreamHarness};
 use ees_simstorage::{Access, StorageConfig};
@@ -159,78 +159,11 @@ fn synth_records(seed: u64, events: u64, items: u32) -> Vec<LogicalIoRecord> {
         .collect()
 }
 
-fn to_ndjson(records: &[LogicalIoRecord]) -> String {
-    let mut s = String::with_capacity(records.len() * 64);
-    for r in records {
-        let kind = match r.kind {
-            IoKind::Read => "Read",
-            IoKind::Write => "Write",
-        };
-        s.push_str(&format!(
-            "{{\"ts\":{},\"item\":{},\"offset\":{},\"len\":{},\"kind\":\"{kind}\"}}\n",
-            r.ts.0, r.item.0, r.offset, r.len
-        ));
-    }
-    s
-}
-
-/// The fault-free reference: serial, single-threaded, pre-parsed records,
-/// monitor-style trigger (i) sweep — the same per-record decision flow as
-/// the hardened driver below.
-fn drive_baseline(
-    catalog: &[CatalogItem],
-    storage: &StorageConfig,
-    policy: ProposedConfig,
-    records: &[LogicalIoRecord],
-) -> Vec<PlanEnvelope> {
-    let mut harness = StreamHarness::new(catalog, NUM_ENCLOSURES, storage);
-    let break_even = harness.break_even();
-    let mut controller = OnlineController::new(policy, break_even);
-    let mut plans = Vec::new();
-    for rec in records {
-        while controller.needs_rollover(rec.ts) {
-            let t_end = controller.boundary();
-            harness.refresh_views();
-            let env = controller.rollover(
-                t_end,
-                RolloverReason::Boundary,
-                harness.placement(),
-                harness.sequential(),
-                harness.views(),
-            );
-            harness.apply_plan(t_end, &env.plan);
-            harness.begin_period();
-            plans.push(env);
-        }
-        controller.observe(rec);
-        if let Some(enclosure) = harness.placement().enclosure_of(rec.item) {
-            if controller.observe_io_event(rec.ts, enclosure) && rec.ts > controller.period_start()
-            {
-                harness.refresh_views();
-                let env = controller.rollover(
-                    rec.ts,
-                    RolloverReason::Trigger,
-                    harness.placement(),
-                    harness.sequential(),
-                    harness.views(),
-                );
-                harness.apply_plan(rec.ts, &env.plan);
-                harness.begin_period();
-                plans.push(env);
-            }
-        }
-    }
-    plans
-}
-
 /// Coordinator state of the hardened run, boxed up so a crash point can
 /// swap the controller out from under the delivery loop.
 struct ChaosDriver {
     controller: ShardedController,
     harness: StreamHarness,
-    policy: ProposedConfig,
-    shards: usize,
-    options: ShardOptions,
     plans: Vec<PlanEnvelope>,
     accepted: u64,
     crash_at: BTreeSet<u64>,
@@ -268,37 +201,14 @@ impl ChaosDriver {
             }
         }
         if self.crash_at.remove(&self.accepted) {
-            self.crash_restore(rec.ts)?;
+            self.controller.crash_restore(
+                self.accepted,
+                rec.ts,
+                self.harness.placement(),
+                self.harness.sequential(),
+            )?;
+            self.crash_restores += 1;
         }
-        Ok(())
-    }
-
-    /// Checkpoint through the full codec, "crash" the controller (drop
-    /// it, workers and all), and restore from the decoded bytes. The
-    /// storage-side harness survives — exactly the colocated story, where
-    /// a controller restart does not reset the storage unit.
-    fn crash_restore(&mut self, last_ts: Micros) -> Result<(), OnlineError> {
-        let cp = self.controller.checkpoint(
-            self.accepted,
-            last_ts,
-            self.harness.placement(),
-            self.harness.sequential(),
-        )?;
-        let text = encode_checkpoint(&cp);
-        let decoded = decode_checkpoint(&text)?;
-        if decoded != cp {
-            return Err(OnlineError::Checkpoint(
-                "codec roundtrip altered the checkpoint".to_string(),
-            ));
-        }
-        let restored = ShardedController::from_checkpoint(
-            self.policy,
-            self.shards,
-            self.options.clone(),
-            &decoded,
-        )?;
-        self.controller = restored;
-        self.crash_restores += 1;
         Ok(())
     }
 }
@@ -313,9 +223,18 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, OnlineError> {
     let storage = StorageConfig::ams2500(NUM_ENCLOSURES);
     let policy = ProposedConfig::default();
     let records = synth_records(cfg.seed, cfg.events, cfg.items.max(1));
-    let ndjson = to_ndjson(&records);
+    let mut ndjson = Vec::with_capacity(records.len() * 64);
+    write_events(&records, &mut ndjson)?;
 
-    let baseline = drive_baseline(&catalog, &storage, policy, &records);
+    let baseline = run_monitor_serial(
+        Cursor::new(ndjson.as_slice()),
+        &catalog,
+        NUM_ENCLOSURES,
+        &storage,
+        policy,
+        None,
+    )?
+    .plans;
 
     // Hardened run: faulty bytes -> retrying reader -> parse-or-skip ->
     // sanitizer -> sharded controller with panic schedule + crash points.
@@ -342,16 +261,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, OnlineError> {
     let harness = StreamHarness::new(&catalog, NUM_ENCLOSURES, &storage);
     let break_even = harness.break_even();
     let mut driver = ChaosDriver {
-        controller: ShardedController::with_options(
-            policy,
-            break_even,
-            cfg.shards.max(1),
-            options.clone(),
-        ),
+        controller: ShardedController::with_options(policy, break_even, cfg.shards.max(1), options),
         harness,
-        policy,
-        shards: cfg.shards.max(1),
-        options,
         plans: Vec::new(),
         accepted: 0,
         crash_at,

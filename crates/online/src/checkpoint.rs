@@ -28,6 +28,8 @@ use ees_core::{
     PlannerState, TriggersState,
 };
 use ees_iotrace::{DataItemId, EnclosureId, IntervalBuilderState, IoSequence, Micros, Span};
+use ees_simstorage::PlacementMap;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -55,6 +57,31 @@ pub struct ControllerCheckpoint {
     pub names: Vec<String>,
     /// The controller's dynamic state.
     pub state: ControllerState,
+}
+
+impl ControllerCheckpoint {
+    /// A checkpoint of `state` at ingest position `events` / `last_ts`
+    /// over the storage view `placement` / `sequential`, with an empty
+    /// name table (the ingest edge fills it in).
+    pub(crate) fn capture(
+        events: u64,
+        last_ts: Micros,
+        placement: &PlacementMap,
+        sequential: &BTreeSet<DataItemId>,
+        state: ControllerState,
+    ) -> Self {
+        ControllerCheckpoint {
+            events,
+            last_ts,
+            placement: placement
+                .iter()
+                .map(|(id, pl)| (id, pl.enclosure, pl.size))
+                .collect(),
+            sequential: sequential.iter().copied().collect(),
+            names: Vec::new(),
+            state,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -84,11 +84,6 @@ impl IncrementalClassifier {
         self.period_start
     }
 
-    /// Number of items with I/O observed this period.
-    pub fn active_items(&self) -> usize {
-        self.items.len()
-    }
-
     /// Copies every item's mid-period state out for checkpointing, in
     /// item order. The classifier keeps running — exporting is a read.
     pub fn export_items(&self) -> Vec<ItemCheckpoint> {

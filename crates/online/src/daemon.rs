@@ -10,7 +10,7 @@
 //! `equivalence` test suite asserts this plan-for-plan.
 
 use crate::checkpoint::ControllerCheckpoint;
-use crate::controller::{OnlineController, PlanEnvelope, RolloverReason};
+use crate::controller::{OnlineController, PeriodCore, PlanEnvelope, RolloverReason};
 use crate::error::OnlineError;
 use crate::shard::{ShardOptions, ShardedController};
 use ees_core::ProposedConfig;
@@ -33,38 +33,18 @@ enum DaemonController {
 }
 
 impl DaemonController {
-    fn period_start(&self) -> Micros {
+    /// The period clock and §V.D triggers, shared by both flavors.
+    fn core(&self) -> &PeriodCore {
         match self {
-            DaemonController::Single(c) => c.period_start(),
-            DaemonController::Sharded(c) => c.period_start(),
+            DaemonController::Single(c) => &c.core,
+            DaemonController::Sharded(c) => &c.core,
         }
     }
 
-    fn boundary(&self) -> Micros {
+    fn core_mut(&mut self) -> &mut PeriodCore {
         match self {
-            DaemonController::Single(c) => c.boundary(),
-            DaemonController::Sharded(c) => c.boundary(),
-        }
-    }
-
-    fn needs_rollover(&self, ts: Micros) -> bool {
-        match self {
-            DaemonController::Single(c) => c.needs_rollover(ts),
-            DaemonController::Sharded(c) => c.needs_rollover(ts),
-        }
-    }
-
-    fn periods(&self) -> u64 {
-        match self {
-            DaemonController::Single(c) => c.periods(),
-            DaemonController::Sharded(c) => c.periods(),
-        }
-    }
-
-    fn trigger_cuts(&self) -> u64 {
-        match self {
-            DaemonController::Single(c) => c.trigger_cuts(),
-            DaemonController::Sharded(c) => c.trigger_cuts(),
+            DaemonController::Single(c) => &mut c.core,
+            DaemonController::Sharded(c) => &mut c.core,
         }
     }
 
@@ -72,20 +52,6 @@ impl DaemonController {
         match self {
             DaemonController::Single(c) => c.observe(rec),
             DaemonController::Sharded(c) => c.observe(rec),
-        }
-    }
-
-    fn observe_io_event(&mut self, t: Micros, enclosure: EnclosureId) -> bool {
-        match self {
-            DaemonController::Single(c) => c.observe_io_event(t, enclosure),
-            DaemonController::Sharded(c) => c.observe_io_event(t, enclosure),
-        }
-    }
-
-    fn observe_spin_up(&mut self, t: Micros, enclosure: EnclosureId) -> bool {
-        match self {
-            DaemonController::Single(c) => c.observe_spin_up(t, enclosure),
-            DaemonController::Sharded(c) => c.observe_spin_up(t, enclosure),
         }
     }
 
@@ -105,25 +71,21 @@ impl DaemonController {
         }
     }
 
-    fn export_state(
+    fn checkpoint(
         &mut self,
-        placement: &PlacementMap,
-        sequential: &BTreeSet<DataItemId>,
         events: u64,
         last_ts: Micros,
+        placement: &PlacementMap,
+        sequential: &BTreeSet<DataItemId>,
     ) -> Result<ControllerCheckpoint, OnlineError> {
         match self {
-            DaemonController::Single(c) => Ok(ControllerCheckpoint {
+            DaemonController::Single(c) => Ok(ControllerCheckpoint::capture(
                 events,
                 last_ts,
-                placement: placement
-                    .iter()
-                    .map(|(id, pl)| (id, pl.enclosure, pl.size))
-                    .collect(),
-                sequential: sequential.iter().copied().collect(),
-                names: Vec::new(),
-                state: c.export_state(),
-            }),
+                placement,
+                sequential,
+                c.export_state(),
+            )),
             DaemonController::Sharded(c) => c.checkpoint(events, last_ts, placement, sequential),
         }
     }
@@ -251,11 +213,11 @@ impl ColocatedDaemon {
     /// ingest position. Pair with
     /// [`resume_with_options`](Self::resume_with_options).
     pub fn checkpoint(&mut self) -> Result<ControllerCheckpoint, OnlineError> {
-        self.controller.export_state(
-            self.harness.placement(),
-            self.harness.sequential(),
+        self.controller.checkpoint(
             self.events,
             self.last_ts,
+            self.harness.placement(),
+            self.harness.sequential(),
         )
     }
 
@@ -312,14 +274,22 @@ impl ColocatedDaemon {
 
     /// Processes one logical record; returns the plans this record caused
     /// (zero or more scheduled boundaries it crossed, plus at most one
-    /// trigger cut). `Err` only for fatal supervision failures (a
-    /// quarantined shard, or a worker the supervisor could not rebuild) —
+    /// trigger cut). `Err` for a record whose item the storage side does
+    /// not place ([`OnlineError::UnplacedItem`], rejected before any
+    /// state changes) and for fatal supervision failures (a quarantined
+    /// shard, or a worker the supervisor could not rebuild) —
     /// recoverable incidents are absorbed and the fold continues.
     pub fn step(&mut self, rec: LogicalIoRecord) -> Result<Vec<PlanEnvelope>, OnlineError> {
+        if !self.harness.is_placed(rec.item) {
+            return Err(OnlineError::UnplacedItem {
+                item: rec.item,
+                record: self.events + 1,
+            });
+        }
         let mut plans = Vec::new();
         // Period boundaries at or before this record.
-        while self.controller.needs_rollover(rec.ts) {
-            let t_end = self.controller.boundary();
+        while self.controller.core().needs_rollover(rec.ts) {
+            let t_end = self.controller.core().boundary();
             plans.push(self.invoke(t_end, RolloverReason::Boundary)?);
         }
 
@@ -331,12 +301,13 @@ impl ColocatedDaemon {
         self.response_sum += served.response.as_secs_f64();
 
         // Stream events; either may cut the period short (§V.D).
+        let core = self.controller.core_mut();
         let mut invoke_now = false;
         if served.spun_up {
-            invoke_now |= self.controller.observe_spin_up(t, served.enclosure);
+            invoke_now |= core.observe_spin_up(t, served.enclosure);
         }
-        invoke_now |= self.controller.observe_io_event(t, served.enclosure);
-        if invoke_now && t > self.controller.period_start() {
+        invoke_now |= core.observe_io_event(t, served.enclosure);
+        if invoke_now && t > core.period_start() {
             plans.push(self.invoke(t, RolloverReason::Trigger)?);
         }
         Ok(plans)
@@ -351,11 +322,76 @@ impl ColocatedDaemon {
         OnlineSummary {
             duration: end,
             events: self.events,
-            periods: self.controller.periods(),
-            trigger_cuts: self.controller.trigger_cuts(),
+            periods: self.controller.core().periods(),
+            trigger_cuts: self.controller.core().trigger_cuts(),
             avg_power_watts: controller.average_watts(end),
             spin_ups: controller.total_spin_ups(),
             avg_response: Micros::from_secs_f64(self.response_sum / self.events.max(1) as f64),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ees_iotrace::IoKind;
+    use ees_simstorage::Access;
+
+    fn rec(ts_s: u64, item: u32) -> LogicalIoRecord {
+        LogicalIoRecord {
+            ts: Micros::from_secs(ts_s),
+            item: DataItemId(item),
+            offset: 0,
+            len: 4096,
+            kind: IoKind::Read,
+        }
+    }
+
+    #[test]
+    fn unplaced_item_is_rejected_before_any_state_changes() {
+        // Ids 0, 1, 3: id 2 is a hole in the dense mirror, id 4 lies
+        // past its end, 4_000_000 far past it.
+        let items: Vec<CatalogItem> = [0u32, 1, 3]
+            .iter()
+            .map(|&i| CatalogItem {
+                id: DataItemId(i),
+                size: 1 << 20,
+                enclosure: EnclosureId((i % 2) as u16),
+                access: Access::Random,
+            })
+            .collect();
+        let storage = StorageConfig::ams2500(2);
+        for shards in [1usize, 2] {
+            let mut daemon = ColocatedDaemon::with_shard_options(
+                &items,
+                2,
+                &storage,
+                ProposedConfig::default(),
+                None,
+                shards,
+                ShardOptions::default(),
+            );
+            for i in 0..10u64 {
+                daemon.step(rec(i, [0, 1, 3][i as usize % 3])).unwrap();
+            }
+            // Far past the first boundary: a placed record this late
+            // would roll periods over before being served.
+            for bad in [2u32, 4, 4_000_000] {
+                let err = daemon.step(rec(1_000_000, bad)).unwrap_err();
+                assert!(
+                    matches!(err, OnlineError::UnplacedItem { item, record: 11 } if item.0 == bad),
+                    "shards = {shards}: {err}"
+                );
+                let msg = err.to_string();
+                assert!(msg.contains(&format!("item {bad} ")), "{msg}");
+                assert!(msg.contains("record 11"), "{msg}");
+            }
+            assert_eq!(daemon.events(), 10);
+            daemon.sync().unwrap();
+            let summary = daemon.finish(None);
+            assert_eq!(summary.events, 10);
+            assert_eq!(summary.periods, 0, "the rejected record closed no period");
+            assert_eq!(summary.duration, Micros::from_secs(9));
         }
     }
 }

@@ -25,7 +25,6 @@
 //! Same seed ⇒ identical report, across shard counts and across
 //! injected crashes (machinery-evidence counters aside).
 
-use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
 use crate::controller::RolloverReason;
 use crate::error::OnlineError;
 use crate::fault::{silence_injected_panics, PanicSchedule};
@@ -185,9 +184,6 @@ struct EndureDriver {
     controller: ShardedController,
     managed: StreamHarness,
     baseline: StreamHarness,
-    policy: ProposedConfig,
-    shards: usize,
-    options: ShardOptions,
     rows: Vec<PeriodMetric>,
     target: usize,
     restore_every: usize,
@@ -251,7 +247,15 @@ impl EndureDriver {
             && self.rows.len().is_multiple_of(self.restore_every)
             && !self.done()
         {
-            self.crash_restore(t_end)?;
+            // Both harnesses survive the crash, so the savings trajectory
+            // must show no discontinuity.
+            self.controller.crash_restore(
+                self.accepted,
+                t_end,
+                self.managed.placement(),
+                self.managed.sequential(),
+            )?;
+            self.crash_restores += 1;
         }
         Ok(())
     }
@@ -285,35 +289,6 @@ impl EndureDriver {
         }
         Ok(())
     }
-
-    /// Checkpoint through the full codec, "crash" the controller (drop
-    /// it, workers and all), and restore from the decoded bytes. Both
-    /// harnesses survive — a controller restart does not reset the
-    /// storage unit, so the savings trajectory must show no
-    /// discontinuity.
-    fn crash_restore(&mut self, last_ts: Micros) -> Result<(), OnlineError> {
-        let cp = self.controller.checkpoint(
-            self.accepted,
-            last_ts,
-            self.managed.placement(),
-            self.managed.sequential(),
-        )?;
-        let text = encode_checkpoint(&cp);
-        let decoded = decode_checkpoint(&text)?;
-        if decoded != cp {
-            return Err(OnlineError::Checkpoint(
-                "codec roundtrip altered the checkpoint".to_string(),
-            ));
-        }
-        self.controller = ShardedController::from_checkpoint(
-            self.policy,
-            self.shards,
-            self.options.clone(),
-            &decoded,
-        )?;
-        self.crash_restores += 1;
-        Ok(())
-    }
 }
 
 /// Runs one endurance experiment over `events` (any timestamp-ordered
@@ -345,17 +320,9 @@ where
     let baseline = StreamHarness::new(catalog, num_enclosures, storage);
     let break_even = managed.break_even();
     let mut driver = EndureDriver {
-        controller: ShardedController::with_options(
-            cfg.policy,
-            break_even,
-            shards,
-            options.clone(),
-        ),
+        controller: ShardedController::with_options(cfg.policy, break_even, shards, options),
         managed,
         baseline,
-        policy: cfg.policy,
-        shards,
-        options,
         rows: Vec::with_capacity(cfg.periods),
         target: cfg.periods.max(1),
         restore_every: cfg.restore_every,

@@ -10,6 +10,7 @@
 //! replayed) and aborts only on *fatal* ones (a quarantined shard whose
 //! state is gone, a checkpoint that fails to decode).
 
+use ees_iotrace::DataItemId;
 use std::fmt;
 use std::io;
 
@@ -53,6 +54,16 @@ pub enum OnlineError {
     Io(io::Error),
     /// A checkpoint failed to encode, decode, or validate.
     Checkpoint(String),
+    /// A record names an item the storage side does not place (absent
+    /// from the items file and the checkpoint). The daemon rejects it
+    /// before touching any state, so a caller could skip it and keep
+    /// stepping; `ees online` ends the run on it.
+    UnplacedItem {
+        /// The item the record names.
+        item: DataItemId,
+        /// 1-based position of the record in the stream.
+        record: u64,
+    },
 }
 
 impl OnlineError {
@@ -63,6 +74,7 @@ impl OnlineError {
             OnlineError::WorkerPanic { severity, .. } => *severity,
             OnlineError::Io(_) => Severity::Fatal,
             OnlineError::Checkpoint(_) => Severity::Fatal,
+            OnlineError::UnplacedItem { .. } => Severity::Recoverable,
         }
     }
 }
@@ -84,6 +96,11 @@ impl fmt::Display for OnlineError {
             }
             OnlineError::Io(e) => write!(f, "i/o error: {e}"),
             OnlineError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
+            OnlineError::UnplacedItem { item, record } => write!(
+                f,
+                "record {record}: item {} is not placed on any enclosure (not in the items file)",
+                item.0
+            ),
         }
     }
 }
@@ -142,6 +159,14 @@ mod tests {
         assert_eq!(
             OnlineError::Io(io::Error::other("gone")).severity(),
             Severity::Fatal
+        );
+        assert_eq!(
+            OnlineError::UnplacedItem {
+                item: DataItemId(9),
+                record: 4
+            }
+            .severity(),
+            Severity::Recoverable
         );
     }
 

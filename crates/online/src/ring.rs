@@ -1,12 +1,16 @@
 //! A lock-free single-producer / single-consumer ring for the shard
 //! transport.
 //!
-//! `std::sync::mpsc::sync_channel` serializes every send through a
-//! mutex-guarded queue; at the batch rates the sharded pipeline runs
-//! (hundreds of thousands of sends per second across shards, all from
-//! one coordinator thread) the lock traffic and the wake-one dance show
-//! up directly in end-to-end throughput. This ring replaces it on the
-//! coordinator → worker path with the classic Lamport SPSC queue:
+//! A bounded `std::sync::mpsc::sync_channel` is itself a lock-free
+//! array channel (rustc 1.95), so the ring is not here to dodge a lock,
+//! and its end-to-end edge over `sync_channel` is small and unsettled.
+//! Swapped for `sync_channel` on the coordinator → worker path, the
+//! `cloudblock-restart` benchmark (seed 7, 20 s alternating runs, 2-CPU
+//! boxes) once measured median `plan_latency_p50_ms` 5.89 → 6.55 ms
+//! (+11%; all 6 std-channel runs above all 5 ring runs) and
+//! `events_per_s` −6%; a later set of 11 runs per side measured
+//! 5.88 → 5.76 ms and 2.01M → 1.95M ev/s, inside the run-to-run spread.
+//! It is the classic Lamport SPSC queue:
 //!
 //! * a power-of-two slot array indexed by free-running `head`/`tail`
 //!   counters, so full/empty tests are two relaxed-ish atomic loads and
@@ -18,8 +22,8 @@
 //!   with a bounded timeout (so a lost wakeup costs microseconds, not a
 //!   hang) and the other side unparks it on the next transition.
 //!
-//! Disconnect semantics mirror what the shard supervisor relies on with
-//! `sync_channel`:
+//! Disconnect semantics match `sync_channel`'s, which the shard
+//! supervisor relies on:
 //!
 //! * [`RingSender::send`] returns the message back inside
 //!   [`RingSendError`] when the receiver is gone — the coordinator's

@@ -22,7 +22,9 @@
 //!    downstream plan is too.
 //!
 //! Planning, §V.D trigger arming, and period bookkeeping stay on the
-//! coordinator thread — only the per-record fold is fanned out.
+//! coordinator thread, in the same `PeriodCore` the single-threaded
+//! [`OnlineController`](crate::OnlineController) embeds — only the
+//! per-record fold is fanned out.
 //!
 //! **Supervision** (DESIGN.md §11): a worker thread that panics no longer
 //! takes the whole pipeline down. The coordinator journals every batch it
@@ -43,28 +45,26 @@
 //! which collects the per-shard reports, merges, and plans. Between the
 //! two, every worker drains its queue and computes its period report *in
 //! parallel with the others and with whatever the coordinator does* (the
-//! monitor pipeline uses the window to read ahead). The journal moves to
-//! a `closing` epoch at `begin` so a worker that dies mid-cut is rebuilt
-//! by replaying the closing epoch and re-sending the cut — plans stay
-//! byte-identical either way. The one-call
-//! [`rollover`](ShardedController::rollover) is just `begin` + `finish`,
-//! so every caller exercises the same epoch machinery. New-period input
+//! monitor pipeline uses the window to read ahead). New-period input
 //! must NOT be routed while a cut is in flight: a §V.D trigger evaluated
 //! once the plan lands may still demand a cut *between* two of those
 //! buffered records, and a cut message can only be appended after
 //! records already shipped — the caller stages read-ahead on its side
-//! until `finish` returns.
+//! until `finish` returns. So nothing is journaled mid-cut, and the
+//! journal holds exactly the batches of the period being closed: a
+//! worker that dies mid-cut is rebuilt from base + journal and re-sent
+//! the cut, and plans stay byte-identical either way. The one-call
+//! [`rollover`](ShardedController::rollover) is just `begin` + `finish`,
+//! so every caller exercises the same path.
 
-use crate::checkpoint::ControllerCheckpoint;
+use crate::checkpoint::{decode_checkpoint, encode_checkpoint, ControllerCheckpoint};
 use crate::classify::{IncrementalClassifier, ItemCheckpoint};
-use crate::controller::{ControllerState, PlanEnvelope, RolloverReason};
+use crate::controller::{seq_factor_of, PeriodCore, PlanEnvelope, RolloverReason};
 use crate::error::{OnlineError, Severity};
 use crate::fault::{PanicSchedule, INJECTED_PANIC_MARKER};
 use crate::ring::{ring_channel, RingReceiver, RingSendError, RingSender};
-use ees_core::{
-    merge_shard_reports_into, snapshot_guard, ArmedTriggers, ItemReport, Planner, ProposedConfig,
-};
-use ees_iotrace::{DataItemId, EnclosureId, LogicalIoRecord, Micros, Span};
+use ees_core::{merge_shard_reports_into, ItemReport, ProposedConfig};
+use ees_iotrace::{DataItemId, EnclosureId, LogicalIoRecord, Micros};
 use ees_policy::EnclosureView;
 use ees_simstorage::PlacementMap;
 use std::collections::{BTreeMap, BTreeSet};
@@ -260,27 +260,16 @@ impl Default for ShardOptions {
 
 /// Base state + journal for one shard: everything needed to rebuild its
 /// worker from scratch.
+#[derive(Default)]
 struct ShardLedger {
     /// Classifier state at the last barrier that reset or refreshed it
     /// (rollover: empty at the new period start; checkpoint: the
     /// snapshot). `period_start` is carried by the controller.
     base: Vec<ItemCheckpoint>,
-    /// Batches shipped since `base`, in shipping order.
+    /// Batches shipped since `base`, in shipping order. Nothing is
+    /// shipped while a cut is in flight, so mid-cut this is exactly the
+    /// closing period's input.
     journal: Vec<Vec<LogicalIoRecord>>,
-    /// While a cut is in flight: the batches of the period being closed,
-    /// moved out of `journal` at `rollover_begin`. A rebuild replays
-    /// `base` → `closing` → (re-sent cut) → `journal`.
-    closing: Option<Vec<Vec<LogicalIoRecord>>>,
-}
-
-impl ShardLedger {
-    fn new() -> Self {
-        ShardLedger {
-            base: Vec::new(),
-            journal: Vec::new(),
-            closing: None,
-        }
-    }
 }
 
 /// A rollover that has been cut ([`ShardedController::rollover_begin`])
@@ -298,6 +287,19 @@ struct PendingCut {
     replies: Vec<Option<ShardReply>>,
 }
 
+impl PendingCut {
+    /// The in-band cut message, answered on `reply`.
+    fn msg(&self, reply: SyncSender<ShardReply>) -> ShardMsg {
+        ShardMsg::Rollover {
+            end: self.t_end,
+            placement: Arc::clone(&self.placement),
+            sequential: Arc::clone(&self.sequential),
+            seq_factor: self.seq_factor,
+            reply,
+        }
+    }
+}
+
 /// Upper bound on revive rounds within one barrier. Injected panics are
 /// one-shot, so a single retry per scheduled point converges; the bound
 /// only guards against a worker that dies deterministically on the same
@@ -310,13 +312,7 @@ const MAX_REVIVE_ROUNDS: usize = 64;
 /// shard worker threads, fed parsed records by
 /// [`observe`](Self::observe).
 pub struct ShardedController {
-    planner: Planner,
-    triggers: ArmedTriggers,
-    break_even: Micros,
-    period_start: Micros,
-    period_len: Micros,
-    periods: u64,
-    trigger_cuts: u64,
+    pub(crate) core: PeriodCore,
     shards: usize,
     options: ShardOptions,
     /// `None` marks a quarantined (or mid-revive) shard's empty slot.
@@ -357,23 +353,20 @@ impl ShardedController {
         shards: usize,
         options: ShardOptions,
     ) -> Self {
+        Self::spawn(PeriodCore::new(cfg, break_even), shards, options)
+    }
+
+    /// Spawns `shards` workers (at least one) behind `core`.
+    fn spawn(core: PeriodCore, shards: usize, options: ShardOptions) -> Self {
         let shards = shards.max(1);
-        let guard = snapshot_guard(cfg.initial_period);
-        let period_len = cfg.initial_period.max(Micros(1));
         let mut ctl = ShardedController {
-            planner: Planner::new(cfg),
-            triggers: ArmedTriggers::new(guard),
-            break_even,
-            period_start: Micros::ZERO,
-            period_len,
-            periods: 0,
-            trigger_cuts: 0,
+            core,
             shards,
             options,
             senders: (0..shards).map(|_| None).collect(),
             handles: (0..shards).map(|_| None).collect(),
             pending: (0..shards).map(|_| Vec::new()).collect(),
-            ledgers: (0..shards).map(|_| ShardLedger::new()).collect(),
+            ledgers: (0..shards).map(|_| ShardLedger::default()).collect(),
             quarantined: (0..shards).map(|_| None).collect(),
             events: Vec::new(),
             respawns: 0,
@@ -400,26 +393,19 @@ impl ShardedController {
         options: ShardOptions,
         cp: &ControllerCheckpoint,
     ) -> Result<Self, OnlineError> {
-        let mut ctl = Self::with_options(cfg, cp.state.break_even, shards, options);
-        let s = &cp.state;
-        ctl.planner = Planner::from_state(*ctl.planner.config(), s.planner.clone());
-        ctl.triggers = ArmedTriggers::from_state(s.triggers.clone());
-        ctl.period_start = s.period_start;
-        ctl.period_len = s.period_len.max(Micros(1));
-        ctl.periods = s.periods;
-        ctl.trigger_cuts = s.trigger_cuts;
-        for shard in 0..ctl.shards {
-            let items: Vec<ItemCheckpoint> = s
-                .items
-                .iter()
-                .filter(|c| shard_of(c.id, ctl.shards) == shard)
-                .cloned()
-                .collect();
+        let (core, items) = PeriodCore::from_state(cfg, cp.state.clone());
+        let mut ctl = Self::spawn(core, shards, options);
+        let mut per_shard: Vec<Vec<ItemCheckpoint>> = (0..ctl.shards).map(|_| Vec::new()).collect();
+        for c in items {
+            per_shard[shard_of(c.id, ctl.shards)].push(c);
+        }
+        let period_start = ctl.core.period_start();
+        for (shard, items) in per_shard.into_iter().enumerate() {
             ctl.ledgers[shard].base = items.clone();
             ctl.send_supervised(
                 shard,
                 ShardMsg::Load {
-                    period_start: s.period_start,
+                    period_start,
                     items,
                 },
             )?;
@@ -427,9 +413,38 @@ impl ShardedController {
         Ok(ctl)
     }
 
+    /// Checkpoints through the full `ees.checkpoint.v1` codec, drops this
+    /// controller (workers and all), and replaces it with one restored
+    /// from the decoded bytes on the same shard count and options — the
+    /// crash/restore cycle the chaos and endurance harnesses inject. The
+    /// caller's storage harness survives, as a controller restart does
+    /// not reset the storage unit.
+    pub(crate) fn crash_restore(
+        &mut self,
+        events: u64,
+        last_ts: Micros,
+        placement: &PlacementMap,
+        sequential: &BTreeSet<DataItemId>,
+    ) -> Result<(), OnlineError> {
+        let cp = self.checkpoint(events, last_ts, placement, sequential)?;
+        let decoded = decode_checkpoint(&encode_checkpoint(&cp))?;
+        if decoded != cp {
+            return Err(OnlineError::Checkpoint(
+                "codec roundtrip altered the checkpoint".to_string(),
+            ));
+        }
+        *self = Self::from_checkpoint(
+            self.core.config(),
+            self.shards,
+            self.options.clone(),
+            &decoded,
+        )?;
+        Ok(())
+    }
+
     fn spawn_worker(&self, shard: usize) -> (RingSender<ShardMsg>, JoinHandle<()>) {
         let shards = self.shards;
-        let break_even = self.break_even;
+        let break_even = self.core.break_even();
         let schedule = self.options.panic_schedule.clone();
         let (tx, rx) = ring_channel::<ShardMsg>(self.options.queue.max(1));
         let handle = std::thread::spawn(move || worker(shard, shards, break_even, rx, schedule));
@@ -443,32 +458,32 @@ impl ShardedController {
 
     /// Start of the running period.
     pub fn period_start(&self) -> Micros {
-        self.period_start
+        self.core.period_start()
     }
 
     /// Scheduled end of the running period.
     pub fn boundary(&self) -> Micros {
-        self.period_start + self.period_len
+        self.core.boundary()
     }
 
     /// Whether a record at `ts` lies at or past the scheduled boundary.
     pub fn needs_rollover(&self, ts: Micros) -> bool {
-        ts >= self.boundary()
+        self.core.needs_rollover(ts)
     }
 
     /// Periods closed so far.
     pub fn periods(&self) -> u64 {
-        self.periods
+        self.core.periods()
     }
 
     /// How many of those were cut short by a trigger.
     pub fn trigger_cuts(&self) -> u64 {
-        self.trigger_cuts
+        self.core.trigger_cuts()
     }
 
     /// The accumulated monitoring history.
     pub fn history(&self) -> &ees_core::MonitorHistory {
-        self.planner.history()
+        self.core.history()
     }
 
     /// Workers respawned so far (supervision incidents absorbed).
@@ -515,24 +530,21 @@ impl ShardedController {
     }
 
     /// Loads the shard's base state and replays its journal into a
-    /// freshly spawned worker. While a cut is in flight the closing
-    /// epoch's batches are replayed first; the cut message itself is
-    /// re-sent by the caller *after* this returns (the current journal
-    /// is empty then — nothing may be routed mid-cut — so the replay
-    /// order matches the original shipping order exactly). `Err(())`
-    /// when the worker died mid-replay.
+    /// freshly spawned worker. While a cut is in flight the caller
+    /// re-sends the cut message *after* this returns; nothing is routed
+    /// mid-cut, so the replay order matches the original shipping order
+    /// exactly. `Err(())` when the worker died mid-replay.
     fn replay_into(&self, shard: usize) -> Result<(), ()> {
         let ledger = &self.ledgers[shard];
         let Some(tx) = self.senders[shard].as_ref() else {
             return Err(());
         };
         let load = ShardMsg::Load {
-            period_start: self.period_start,
+            period_start: self.core.period_start(),
             items: ledger.base.clone(),
         };
         tx.send(load).map_err(|_| ())?;
-        let closing = ledger.closing.iter().flatten();
-        for batch in closing.chain(ledger.journal.iter()).cloned() {
+        for batch in ledger.journal.iter().cloned() {
             tx.send(ShardMsg::Records(batch)).map_err(|_| ())?;
         }
         Ok(())
@@ -661,12 +673,12 @@ impl ShardedController {
     /// Feeds the served record's enclosure to the §V.D triggers (which
     /// stay on the coordinator); `true` means a trigger fired.
     pub fn observe_io_event(&mut self, t: Micros, enclosure: EnclosureId) -> bool {
-        self.triggers.observe_io(t, enclosure)
+        self.core.observe_io_event(t, enclosure)
     }
 
     /// Feeds a spin-up to the §V.D triggers; `true` as above.
     pub fn observe_spin_up(&mut self, t: Micros, enclosure: EnclosureId) -> bool {
-        self.triggers.observe_spin_up(t, enclosure)
+        self.core.observe_spin_up(t, enclosure)
     }
 
     /// Whether `shard`'s worker thread has exited (or was reaped).
@@ -711,16 +723,24 @@ impl ShardedController {
         }
     }
 
-    /// Runs a barrier: sends `make_msg`'s message to every live shard and
-    /// collects one reply per shard, retrying shards whose worker died
-    /// before replying (after revival rebuilds them). Death is detected
-    /// by [`collect_replies`](Self::collect_replies); a dead shard gets
-    /// revived + re-asked next round.
-    fn barrier<F>(&mut self, make_msg: F) -> Result<Vec<ShardReply>, OnlineError>
+    /// Runs a barrier: completes `replies` (one slot per shard; shorter
+    /// means "none yet") with one reply per live shard and returns them
+    /// in shard order. Each round sends `make_msg`'s message to every
+    /// shard still missing a reply and collects the answers, so a shard
+    /// whose worker died before replying is revived (by
+    /// [`send_supervised`](Self::send_supervised)) and re-asked next
+    /// round. Death is detected by
+    /// [`collect_replies`](Self::collect_replies). `Err` when a shard is
+    /// quarantined, revival failed, or a shard never answered.
+    fn barrier<F>(
+        &mut self,
+        mut replies: Vec<Option<ShardReply>>,
+        make_msg: F,
+    ) -> Result<Vec<ShardReply>, OnlineError>
     where
         F: Fn(SyncSender<ShardReply>) -> ShardMsg,
     {
-        let mut replies: Vec<Option<ShardReply>> = (0..self.shards).map(|_| None).collect();
+        replies.resize_with(self.shards, || None);
         for _ in 0..MAX_REVIVE_ROUNDS {
             let missing: Vec<usize> = (0..self.shards)
                 .filter(|&s| replies[s].is_none() && self.quarantined[s].is_none())
@@ -761,7 +781,7 @@ impl ShardedController {
         for shard in 0..self.shards {
             self.flush_shard(shard);
         }
-        self.barrier(|reply| ShardMsg::Ping { reply })?;
+        self.barrier(Vec::new(), |reply| ShardMsg::Ping { reply })?;
         Ok(())
     }
 
@@ -789,7 +809,7 @@ impl ShardedController {
         for shard in 0..self.shards {
             self.flush_shard(shard);
         }
-        let replies = self.barrier(|reply| ShardMsg::Snapshot { reply })?;
+        let replies = self.barrier(Vec::new(), |reply| ShardMsg::Snapshot { reply })?;
         let mut items: BTreeMap<DataItemId, ItemCheckpoint> = BTreeMap::new();
         for reply in replies {
             self.ledgers[reply.shard].base = reply.states.clone();
@@ -798,27 +818,10 @@ impl ShardedController {
                 items.insert(c.id, c);
             }
         }
-        let state = ControllerState {
-            break_even: self.break_even,
-            period_start: self.period_start,
-            period_len: self.period_len,
-            periods: self.periods,
-            trigger_cuts: self.trigger_cuts,
-            planner: self.planner.export_state(),
-            triggers: self.triggers.export_state(),
-            items: items.into_values().collect(),
-        };
-        Ok(ControllerCheckpoint {
-            events,
-            last_ts,
-            placement: placement
-                .iter()
-                .map(|(id, pl)| (id, pl.enclosure, pl.size))
-                .collect(),
-            sequential: sequential.iter().copied().collect(),
-            names: Vec::new(),
-            state,
-        })
+        let state = self.core.export_state(items.into_values().collect());
+        Ok(ControllerCheckpoint::capture(
+            events, last_ts, placement, sequential, state,
+        ))
     }
 
     /// Closes the period at `t_end`: barriers the shards, merges their
@@ -830,7 +833,7 @@ impl ShardedController {
     ///
     /// Implemented as [`rollover_begin`](Self::rollover_begin) +
     /// [`rollover_finish`](Self::rollover_finish), so even the
-    /// synchronous callers exercise the overlapped-cut epoch machinery.
+    /// synchronous callers exercise the overlapped-cut path.
     pub fn rollover(
         &mut self,
         t_end: Micros,
@@ -843,33 +846,9 @@ impl ShardedController {
         self.rollover_finish()
     }
 
-    /// Builds the in-band cut message for the in-flight rollover.
-    fn cut_msg(&self, reply: SyncSender<ShardReply>) -> ShardMsg {
-        let cut = self.pending_cut.as_ref().expect("no cut in flight");
-        ShardMsg::Rollover {
-            end: cut.t_end,
-            placement: Arc::clone(&cut.placement),
-            sequential: Arc::clone(&cut.sequential),
-            seq_factor: cut.seq_factor,
-            reply,
-        }
-    }
-
-    /// Unwinds `rollover_begin`'s ledger epoch flip after a failed cut:
-    /// the closing batches move back to the front of the live journal.
-    fn abort_cut_ledgers(&mut self) {
-        for ledger in &mut self.ledgers {
-            if let Some(mut closing) = ledger.closing.take() {
-                closing.append(&mut ledger.journal);
-                ledger.journal = closing;
-            }
-        }
-    }
-
-    /// Starts an overlapped rollover: flushes every shard, moves the
-    /// period's journal to the closing epoch, and ships the in-band cut
-    /// message — then returns without waiting. Each worker reports and
-    /// resets its classifier (a take-and-swap of the period
+    /// Starts an overlapped rollover: flushes every shard and ships the
+    /// in-band cut message — then returns without waiting. Each worker
+    /// reports and resets its classifier (a take-and-swap of the period
     /// accumulators) as soon as the cut reaches the front of its queue,
     /// all shards in parallel, while the coordinator is free to read
     /// ahead. Call [`rollover_finish`](Self::rollover_finish) to collect
@@ -877,8 +856,9 @@ impl ShardedController {
     /// [`rollover_ready`](Self::rollover_ready) to overlap useful work.
     ///
     /// Until `finish` returns, the controller must not be fed —
-    /// [`observe`](Self::observe) / [`sync`](Self::sync) /
-    /// [`checkpoint`](Self::checkpoint) panic by contract. The plan
+    /// [`observe`](Self::observe) (under debug assertions) /
+    /// [`sync`](Self::sync) / [`checkpoint`](Self::checkpoint) panic by
+    /// contract. The plan
     /// decides trigger re-arming, placement, and the next boundary, so
     /// records past the cut cannot be routed (a trigger may still cut
     /// between two of them); the caller stages them and drains after
@@ -895,34 +875,24 @@ impl ShardedController {
             self.pending_cut.is_none(),
             "rollover_begin while a cut is already in flight"
         );
-        let seq_factor = crate::controller::seq_factor_of(views);
         for shard in 0..self.shards {
             self.flush_shard(shard);
         }
-        for ledger in &mut self.ledgers {
-            ledger.closing = Some(std::mem::take(&mut ledger.journal));
-        }
         let (reply_tx, reply_rx) = sync_channel(self.shards);
-        self.pending_cut = Some(PendingCut {
+        let cut = PendingCut {
             t_end,
             reason,
-            seq_factor,
+            seq_factor: seq_factor_of(views),
             placement: Arc::new(placement.clone()),
             sequential: Arc::new(sequential.clone()),
             views: views.to_vec(),
             reply_rx,
             replies: (0..self.shards).map(|_| None).collect(),
-        });
+        };
         for shard in 0..self.shards {
-            let msg = self.cut_msg(reply_tx.clone());
-            if let Err(e) = self.send_supervised(shard, msg) {
-                // A quarantined shard means no complete merge is coming;
-                // put the ledgers back so the error surfaces cleanly.
-                self.pending_cut = None;
-                self.abort_cut_ledgers();
-                return Err(e);
-            }
+            self.send_supervised(shard, cut.msg(reply_tx.clone()))?;
         }
+        self.pending_cut = Some(cut);
         Ok(())
     }
 
@@ -957,55 +927,14 @@ impl ShardedController {
             .pending_cut
             .take()
             .expect("rollover_finish without rollover_begin");
-        // Round 0 drains the reply channel `rollover_begin` armed; later
-        // rounds re-ask revived workers on a fresh channel (revival has
-        // replayed base + closing, so the re-sent cut lands in order).
-        self.collect_replies(&cut.reply_rx, &mut cut.replies);
-        for _ in 0..MAX_REVIVE_ROUNDS {
-            let missing: Vec<usize> = (0..self.shards)
-                .filter(|&s| cut.replies[s].is_none() && self.quarantined[s].is_none())
-                .collect();
-            if missing.is_empty() {
-                break;
-            }
-            let (reply_tx, reply_rx) = sync_channel(self.shards);
-            for &shard in &missing {
-                let msg = ShardMsg::Rollover {
-                    end: cut.t_end,
-                    placement: Arc::clone(&cut.placement),
-                    sequential: Arc::clone(&cut.sequential),
-                    seq_factor: cut.seq_factor,
-                    reply: reply_tx.clone(),
-                };
-                if let Err(e) = self.send_supervised(shard, msg) {
-                    self.abort_cut_ledgers();
-                    return Err(e);
-                }
-            }
-            drop(reply_tx);
-            cut.reply_rx = reply_rx;
-            self.collect_replies(&cut.reply_rx, &mut cut.replies);
-        }
-        if let Some(e) = self.pending_fatal() {
-            self.abort_cut_ledgers();
-            return Err(e);
-        }
-        if let Some(shard) =
-            (0..self.shards).find(|&s| cut.replies[s].is_none() && self.quarantined[s].is_none())
-        {
-            self.abort_cut_ledgers();
-            return Err(OnlineError::WorkerPanic {
-                shard,
-                detail: "rollover retries exhausted".to_string(),
-                severity: Severity::Fatal,
-            });
-        }
-        let period = Span {
-            start: self.period_start,
-            end: cut.t_end,
-        };
+        // Drain the replies to the cut `rollover_begin` sent, then re-ask
+        // any worker that died mid-cut (revival has replayed base +
+        // journal, so the re-sent cut lands in order).
+        let mut replies = std::mem::take(&mut cut.replies);
+        self.collect_replies(&cut.reply_rx, &mut replies);
+        let replies = self.barrier(replies, |reply| cut.msg(reply))?;
         let mut per_shard: Vec<Vec<ItemReport>> = (0..self.shards).map(|_| Vec::new()).collect();
-        for reply in cut.replies.into_iter().flatten() {
+        for reply in replies {
             per_shard[reply.shard] = reply.reports;
         }
         let shards = self.shards;
@@ -1016,38 +945,19 @@ impl ShardedController {
             |id| shard_of(id, shards),
             &mut reports,
         );
-        let outcome = self
-            .planner
-            .plan(period, self.break_even, &mut reports, &cut.views);
+        let envelope = self
+            .core
+            .close(cut.t_end, cut.reason, &mut reports, &cut.views);
         reports.clear();
         self.merge_scratch = reports;
-        self.triggers.rearm(
-            self.break_even,
-            cut.t_end,
-            outcome.hot_with_p3,
-            outcome.cold_count,
-        );
-        if let Some(next) = outcome.plan.next_period {
-            self.period_len = next.max(Micros(1));
-        }
-        self.period_start = cut.t_end;
-        self.periods += 1;
-        if cut.reason == RolloverReason::Trigger {
-            self.trigger_cuts += 1;
-        }
         // The workers' classifiers reset at the cut, so each shard's
-        // rebuild base is now "empty at the new period start" and both
-        // journal epochs start over.
+        // rebuild base is now "empty at the new period start" and the
+        // journal starts over.
         for ledger in &mut self.ledgers {
             ledger.base = Vec::new();
             ledger.journal.clear();
-            ledger.closing = None;
         }
-        Ok(PlanEnvelope {
-            period,
-            reason: cut.reason,
-            plan: outcome.plan,
-        })
+        Ok(envelope)
     }
 }
 
@@ -1242,6 +1152,28 @@ mod tests {
             .expect_err("quarantined shard must fail the barrier");
         assert_eq!(err.severity(), Severity::Fatal);
         assert!(matches!(err, OnlineError::WorkerPanic { .. }));
+    }
+
+    // `observe` guards the no-journaling-mid-cut invariant with a
+    // `debug_assert!` (it runs per record), so this test exists only
+    // where debug assertions do — the test profile keeps them on.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "observe while a cut is in flight")]
+    fn observe_between_rollover_begin_and_finish_panics() {
+        let placement = placement(4);
+        let v = views(&placement);
+        let mut ctl = ShardedController::new(cfg(), Micros::from_secs(52), 2);
+        ctl.observe(&rec(1.0, 0));
+        ctl.rollover_begin(
+            Micros::from_secs(2),
+            RolloverReason::Boundary,
+            &placement,
+            &NO_SEQUENTIAL,
+            &v,
+        )
+        .unwrap();
+        ctl.observe(&rec(3.0, 1));
     }
 
     #[test]

@@ -171,8 +171,20 @@ impl StreamHarness {
         &self.views_buf
     }
 
+    /// Whether `item` has a home enclosure: the O(1) check to make
+    /// before [`serve`](Self::serve) on untrusted input.
+    pub fn is_placed(&self, item: DataItemId) -> bool {
+        self.item_home
+            .get(item.0 as usize)
+            .is_some_and(|&h| h != NO_HOME)
+    }
+
     /// Serves one logical record through cache and placement to an
     /// enclosure, accounting it against the current period.
+    ///
+    /// # Panics
+    /// Panics when `rec.item` is not placed (see
+    /// [`is_placed`](Self::is_placed)).
     pub fn serve(&mut self, rec: LogicalIoRecord) -> ServedIo {
         let t = rec.ts;
         // Dense home lookup; the redirect map is only consulted while a

@@ -255,11 +255,6 @@ impl StorageCache {
         self.preload.contains_key(&item)
     }
 
-    /// Items currently pinned by the preload function.
-    pub fn preloaded_items(&self) -> impl Iterator<Item = DataItemId> + '_ {
-        self.preload.keys().copied()
-    }
-
     /// Replaces the write-delay set (§V.B). Dirty bytes of items that left
     /// the set must be written out immediately (§V.B: "indicates to write
     /// updated data items onto disk enclosures when the *write delay

@@ -374,11 +374,6 @@ pub fn generate(seed: u64, params: &CloudBlockParams) -> Workload {
     }
 }
 
-/// Generates with the default one-week configuration.
-pub fn generate_default(seed: u64) -> Workload {
-    generate(seed, &CloudBlockParams::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -315,11 +315,6 @@ pub fn generate(seed: u64, params: &DssParams) -> Workload {
     generate_with_schedule(seed, params).0
 }
 
-/// Generates with the Table I configuration at full scale.
-pub fn generate_default(seed: u64) -> Workload {
-    generate(seed, &DssParams::default())
-}
-
 /// Emits one striped sequential scan: all fragments are read in parallel
 /// sequential passes over `[start, start+dur)`.
 fn emit_scan(

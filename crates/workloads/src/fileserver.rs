@@ -156,11 +156,6 @@ pub fn generate(seed: u64, params: &FileServerParams) -> Workload {
     }
 }
 
-/// Generates with the Table I configuration at full scale.
-pub fn generate_default(seed: u64) -> Workload {
-    generate(seed, &FileServerParams::default())
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum Role {
     Hot,

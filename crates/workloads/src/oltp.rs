@@ -269,11 +269,6 @@ pub fn generate(seed: u64, params: &OltpParams) -> Workload {
     }
 }
 
-/// Generates with the Table I configuration at full scale.
-pub fn generate_default(seed: u64) -> Workload {
-    generate(seed, &OltpParams::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
