@@ -39,7 +39,7 @@ use ees_online::{
     RolloverReason, ShardOptions, SupervisionPolicy,
 };
 use ees_policy::{NoPowerSaving, PowerPolicy};
-use ees_replay::{run, CatalogItem, ReplayOptions};
+use ees_replay::{run, CatalogItem, ReplayOptions, StreamHarness};
 use ees_simstorage::StorageConfig;
 use ees_workloads::{cloudblock, dss, fileserver, oltp, DataItemSpec, Workload};
 use ees_workloads::{items_from_json, items_to_json};
@@ -565,7 +565,14 @@ fn online(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result
     if items.is_empty() {
         return Err(CliError::Parse(format!("{items_path}: no items")));
     }
-    let num_enclosures = items.iter().map(|i| i.enclosure.0 + 1).max().unwrap_or(1);
+    // The unit gets one enclosure past the highest home. Saturating at
+    // `u16::MAX` leaves a home of `u16::MAX` outside the unit, so the
+    // catalog check below rejects it.
+    let num_enclosures = items
+        .iter()
+        .map(|i| i.enclosure.0.saturating_add(1))
+        .max()
+        .unwrap_or(1);
     let catalog: Vec<CatalogItem> = items
         .iter()
         .map(|i| CatalogItem {
@@ -576,6 +583,8 @@ fn online(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result
         })
         .collect();
     let storage = StorageConfig::ams2500(num_enclosures);
+    StreamHarness::check_catalog(&catalog, num_enclosures, &storage)
+        .map_err(|e| CliError::Parse(format!("{items_path}: {e}")))?;
     let mut policy = ProposedConfig::default();
     if let Some(p) = flags.period {
         policy.initial_period = p;
@@ -1506,6 +1515,64 @@ mod tests {
             r#"{"ts":999999999,"item":4000000,"offset":0,"len":4096,"kind":"Read"}"#.to_string(),
         );
         (lines, dir.join("fileserver.items.json"))
+    }
+
+    /// Runs `ees online` over the first 200 events of a small fileserver
+    /// trace, with its items file changed by `edit`, and returns the
+    /// error message after checking it is a parse error naming the file.
+    fn online_with_edited_items(tag: &str, edit: impl FnOnce(&mut Vec<DataItemSpec>)) -> String {
+        let dir = std::env::temp_dir().join(format!("ees-items-{tag}-{}", std::process::id()));
+        let (mut lines, items_path) = unplaced_item_stream(&dir);
+        lines.pop(); // drop the unplaced record: only the items are bad
+        let trace = dir.join("events.jsonl");
+        std::fs::write(&trace, lines.join("\n") + "\n").unwrap();
+        let mut items = items_from_json(&std::fs::read_to_string(&items_path).unwrap()).unwrap();
+        edit(&mut items);
+        std::fs::write(&items_path, items_to_json(&items)).unwrap();
+        let err = run_to_string(&[
+            "online",
+            trace.to_str().unwrap(),
+            items_path.to_str().unwrap(),
+            "--period",
+            "1",
+        ])
+        .unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        let msg = err.to_string();
+        assert!(matches!(err, CliError::Parse(_)), "{msg}");
+        assert!(msg.contains("fileserver.items.json: "), "{msg}");
+        msg
+    }
+
+    #[test]
+    fn online_rejects_an_item_larger_than_its_enclosure() {
+        let msg = online_with_edited_items("oversize", |items| items[0].size = 2_000_000_000_000);
+        assert!(
+            msg.contains("item 0 (2000000000000 bytes) does not fit on enclosure "),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn online_rejects_an_enclosure_past_the_id_range() {
+        // A home of u16::MAX would need u16::MAX + 1 enclosures.
+        let msg = online_with_edited_items("enclosure", |items| {
+            items[0].enclosure = ees_iotrace::EnclosureId(u16::MAX)
+        });
+        assert!(
+            msg.contains("item 0 is placed on enclosure 65535, but the unit has 65535 enclosures"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn online_rejects_a_duplicated_item_id() {
+        let msg = online_with_edited_items("duplicate", |items| {
+            let mut twin = items[0].clone();
+            twin.name.push_str(".twin");
+            items.push(twin);
+        });
+        assert!(msg.contains("item 0 appears more than once"), "{msg}");
     }
 
     fn assert_names_unplaced_record(err: CliError) {

@@ -220,8 +220,27 @@ impl<'a> Dec<'a> {
         t.parse().map_err(|_| bad(format!("bad integer `{t}`")))
     }
 
+    /// An integer token that must fit `T`: checkpoints are untrusted, so
+    /// an out-of-range value is an error, never a truncation.
+    fn int<T: TryFrom<u64>>(&mut self, what: &str) -> DecResult<T> {
+        let v = self.u64()?;
+        T::try_from(v).map_err(|_| bad(format!("{what} `{v}` out of range")))
+    }
+
     fn usize(&mut self) -> DecResult<usize> {
-        Ok(self.u64()? as usize)
+        self.int("count")
+    }
+
+    fn u32(&mut self) -> DecResult<u32> {
+        self.int("counter")
+    }
+
+    fn item(&mut self) -> DecResult<DataItemId> {
+        self.int("item id").map(DataItemId)
+    }
+
+    fn enclosure(&mut self) -> DecResult<EnclosureId> {
+        self.int("enclosure id").map(EnclosureId)
     }
 
     fn f64(&mut self) -> DecResult<f64> {
@@ -332,7 +351,7 @@ fn dec_history(d: &mut Dec) -> DecResult<MonitorHistoryState> {
     let n = d.usize()?;
     let mut last_pattern = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        let id = DataItemId(d.u64()? as u32);
+        let id = d.item()?;
         let p = d.pattern()?;
         let seen = d.u64()?;
         last_pattern.push((id, p, seen));
@@ -376,12 +395,12 @@ fn dec_planner(d: &mut Dec) -> DecResult<PlannerState> {
     let n = d.usize()?;
     let mut last_preload = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        last_preload.push((DataItemId(d.u64()? as u32), d.u64()?));
+        last_preload.push((d.item()?, d.u64()?));
     }
     let n = d.usize()?;
     let mut last_write_delay = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        last_write_delay.push(DataItemId(d.u64()? as u32));
+        last_write_delay.push(d.item()?);
     }
     let imax_smooth = d.f64()?;
     Ok(PlannerState {
@@ -432,17 +451,17 @@ fn dec_triggers(d: &mut Dec) -> DecResult<ArmedTriggersState> {
     let n = d.usize()?;
     let mut hot_last_io = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        hot_last_io.push((EnclosureId(d.u64()? as u16), d.micros()?));
+        hot_last_io.push((d.enclosure()?, d.micros()?));
     }
     let n = d.usize()?;
     let mut cold_spin_ups = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        cold_spin_ups.push((EnclosureId(d.u64()? as u16), d.u64()?));
+        cold_spin_ups.push((d.enclosure()?, d.u64()?));
     }
     let n = d.usize()?;
     let mut recent_wakes = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        recent_wakes.push((d.micros()?, EnclosureId(d.u64()? as u16)));
+        recent_wakes.push((d.micros()?, d.enclosure()?));
     }
     let cold_count = d.usize()?;
     Ok(ArmedTriggersState {
@@ -495,8 +514,8 @@ fn enc_item(e: &mut Enc, it: &ItemCheckpoint) {
 }
 
 fn dec_item(d: &mut Dec) -> DecResult<ItemCheckpoint> {
-    let id = DataItemId(d.u64()? as u32);
-    let item = DataItemId(d.u64()? as u32);
+    let id = d.item()?;
+    let item = d.item()?;
     let start = d.micros()?;
     let break_even = d.micros()?;
     let n = d.usize()?;
@@ -530,10 +549,10 @@ fn dec_item(d: &mut Dec) -> DecResult<ItemCheckpoint> {
     let n = d.usize()?;
     let mut buckets = Vec::with_capacity(n.min(1 << 24));
     for _ in 0..n {
-        buckets.push(d.u64()? as u32);
+        buckets.push(d.u32()?);
     }
     let last_ts = d.micros()?;
-    let count_at_last_ts = d.u64()? as u32;
+    let count_at_last_ts = d.u32()?;
     Ok(ItemCheckpoint {
         id,
         builder,
@@ -607,17 +626,13 @@ pub fn decode_checkpoint(text: &str) -> Result<ControllerCheckpoint, OnlineError
     let n = d.usize()?;
     let mut placement = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        placement.push((
-            DataItemId(d.u64()? as u32),
-            EnclosureId(d.u64()? as u16),
-            d.u64()?,
-        ));
+        placement.push((d.item()?, d.enclosure()?, d.u64()?));
     }
     d.expect("sequential")?;
     let n = d.usize()?;
     let mut sequential = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        sequential.push(DataItemId(d.u64()? as u32));
+        sequential.push(d.item()?);
     }
     d.expect("controller")?;
     let break_even = d.micros()?;
@@ -800,6 +815,43 @@ mod tests {
             back.state.planner.imax_smooth.to_bits(),
             cp.state.planner.imax_smooth.to_bits()
         );
+    }
+
+    /// `sample()` encoded, with the token `offset` places past the first
+    /// `anchor` keyword replaced by `value`.
+    fn with_token(anchor: &str, offset: usize, value: &str) -> String {
+        let text = encode_checkpoint(&sample());
+        let mut toks: Vec<&str> = text.split_whitespace().collect();
+        let at = toks.iter().position(|&t| t == anchor).unwrap() + offset;
+        toks[at] = value;
+        toks.join(" ")
+    }
+
+    #[test]
+    fn out_of_range_ids_are_rejected_not_truncated() {
+        // Item ids are u32 and enclosure ids u16: the largest value of
+        // each decodes, and one past it is an error, never a wrap (id
+        // 2^32 must not alias item 0).
+        for (anchor, offset, max) in [
+            ("placement", 2, u64::from(u32::MAX)), // placed item
+            ("placement", 3, u64::from(u16::MAX)), // its enclosure
+            ("sequential", 2, u64::from(u32::MAX)),
+            ("triggers", 7, u64::from(u16::MAX)), // a hot enclosure
+            ("items", 2, u64::from(u32::MAX)),    // a classified item
+        ] {
+            let site = format!("{anchor} + {offset}");
+            assert!(
+                decode_checkpoint(&with_token(anchor, offset, &max.to_string())).is_ok(),
+                "{site}"
+            );
+            let over = (max + 1).to_string();
+            let err = decode_checkpoint(&with_token(anchor, offset, &over)).unwrap_err();
+            assert!(matches!(err, OnlineError::Checkpoint(_)), "{site}: {err}");
+            assert!(
+                err.to_string().contains(&format!("`{over}` out of range")),
+                "{site}: {err}"
+            );
+        }
     }
 
     #[test]

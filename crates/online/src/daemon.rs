@@ -168,7 +168,10 @@ impl ColocatedDaemon {
     /// equivalence is a controller property (property-tested in
     /// `tests/chaos.rs`), while run-level power/response summaries cover
     /// only the post-restart tail. `options` configures the rebuilt
-    /// sharded controller (ignored when `shards <= 1`).
+    /// sharded controller (ignored when `shards <= 1`). A checkpointed
+    /// placement the unit cannot hold (a home past its enclosures, or
+    /// more bytes than an enclosure's capacity) is refused with
+    /// [`OnlineError::Placement`].
     #[allow(clippy::too_many_arguments)]
     pub fn resume_with_options(
         items: &[CatalogItem],
@@ -191,6 +194,8 @@ impl ColocatedDaemon {
                 it.size = size;
             }
         }
+        StreamHarness::check_catalog(&catalog, num_enclosures, storage)
+            .map_err(OnlineError::Placement)?;
         let harness = StreamHarness::new(&catalog, num_enclosures, storage);
         let controller = if shards > 1 {
             DaemonController::Sharded(ShardedController::from_checkpoint(
@@ -392,6 +397,64 @@ mod tests {
             assert_eq!(summary.events, 10);
             assert_eq!(summary.periods, 0, "the rejected record closed no period");
             assert_eq!(summary.duration, Micros::from_secs(9));
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_placement_the_unit_cannot_hold() {
+        let items: Vec<CatalogItem> = (0..4u32)
+            .map(|i| CatalogItem {
+                id: DataItemId(i),
+                size: 1 << 20,
+                enclosure: EnclosureId((i % 2) as u16),
+                access: Access::Random,
+            })
+            .collect();
+        let storage = StorageConfig::ams2500(2);
+        let capacity = storage.enclosure.capacity_bytes;
+        let mut daemon = ColocatedDaemon::with_shard_options(
+            &items,
+            2,
+            &storage,
+            ProposedConfig::default(),
+            None,
+            1,
+            ShardOptions::default(),
+        );
+        for i in 0..8u64 {
+            daemon.step(rec(i, (i % 4) as u32)).unwrap();
+        }
+        let cp = daemon.checkpoint().unwrap();
+        // Item 0 re-pinned past the unit's two enclosures, then grown
+        // past its enclosure's capacity.
+        let moved = |enclosure: u16, size: u64| {
+            let mut cp = cp.clone();
+            cp.placement[0] = (DataItemId(0), EnclosureId(enclosure), size);
+            cp
+        };
+        for shards in [1usize, 2] {
+            let resume = |cp: &ControllerCheckpoint| {
+                ColocatedDaemon::resume_with_options(
+                    &items,
+                    2,
+                    &storage,
+                    ProposedConfig::default(),
+                    shards,
+                    ShardOptions::default(),
+                    cp,
+                )
+            };
+            assert!(resume(&cp).is_ok(), "shards = {shards}");
+            for (bad, want) in [
+                (moved(2, 1 << 20), "enclosure 2, but the unit has 2"),
+                (moved(99, 1 << 20), "enclosure 99, but the unit has 2"),
+                (moved(0, capacity + 1), "does not fit on enclosure 0"),
+            ] {
+                let err = resume(&bad).err().expect("refused");
+                let msg = err.to_string();
+                assert!(matches!(err, OnlineError::Placement(_)), "{msg}");
+                assert!(msg.contains("item 0 ") && msg.contains(want), "{msg}");
+            }
         }
     }
 }

@@ -11,6 +11,7 @@
 //! state is gone, a checkpoint that fails to decode).
 
 use ees_iotrace::DataItemId;
+use ees_replay::CatalogError;
 use std::fmt;
 use std::io;
 
@@ -54,6 +55,9 @@ pub enum OnlineError {
     Io(io::Error),
     /// A checkpoint failed to encode, decode, or validate.
     Checkpoint(String),
+    /// A checkpoint's placement, applied to the items file, does not
+    /// fit the storage unit.
+    Placement(CatalogError),
     /// A record names an item the storage side does not place (absent
     /// from the items file and the checkpoint). The daemon rejects it
     /// before touching any state, so a caller could skip it and keep
@@ -74,6 +78,7 @@ impl OnlineError {
             OnlineError::WorkerPanic { severity, .. } => *severity,
             OnlineError::Io(_) => Severity::Fatal,
             OnlineError::Checkpoint(_) => Severity::Fatal,
+            OnlineError::Placement(_) => Severity::Fatal,
             OnlineError::UnplacedItem { .. } => Severity::Recoverable,
         }
     }
@@ -96,6 +101,7 @@ impl fmt::Display for OnlineError {
             }
             OnlineError::Io(e) => write!(f, "i/o error: {e}"),
             OnlineError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
+            OnlineError::Placement(e) => write!(f, "checkpoint placement: {e}"),
             OnlineError::UnplacedItem { item, record } => write!(
                 f,
                 "record {record}: item {} is not placed on any enclosure (not in the items file)",

@@ -19,4 +19,4 @@ pub use appmetrics::{
 };
 pub use engine::{run, ReplayOptions};
 pub use metrics::{nearest_rank, EnclosureSummary, RunReport};
-pub use stream::{CatalogItem, ServedIo, StreamHarness};
+pub use stream::{CatalogError, CatalogItem, ServedIo, StreamHarness};

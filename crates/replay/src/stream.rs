@@ -34,6 +34,69 @@ pub struct CatalogItem {
     pub access: Access,
 }
 
+/// Why a catalog cannot be placed on a storage unit
+/// ([`StreamHarness::check_catalog`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CatalogError {
+    /// Two catalog entries share an id.
+    DuplicateId {
+        /// The repeated id.
+        item: DataItemId,
+    },
+    /// An item's home is not one of the unit's enclosures.
+    NoSuchEnclosure {
+        /// The misplaced item.
+        item: DataItemId,
+        /// Its home.
+        enclosure: EnclosureId,
+        /// Enclosures the unit has.
+        num_enclosures: u16,
+    },
+    /// An item does not fit in what the items before it left free on
+    /// its home.
+    OverCapacity {
+        /// The first item that does not fit, in catalog order.
+        item: DataItemId,
+        /// Its size in bytes.
+        size: u64,
+        /// Its home.
+        enclosure: EnclosureId,
+        /// Bytes the items before it left free there.
+        free: u64,
+    },
+}
+
+impl std::fmt::Display for CatalogError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            CatalogError::DuplicateId { item } => {
+                write!(f, "item {} appears more than once", item.0)
+            }
+            CatalogError::NoSuchEnclosure {
+                item,
+                enclosure,
+                num_enclosures,
+            } => write!(
+                f,
+                "item {} is placed on enclosure {}, but the unit has {num_enclosures} enclosures",
+                item.0, enclosure.0
+            ),
+            CatalogError::OverCapacity {
+                item,
+                size,
+                enclosure,
+                free,
+            } => write!(
+                f,
+                "item {} ({size} bytes) does not fit on enclosure {} ({free} bytes free)",
+                item.0, enclosure.0
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CatalogError {}
+
 /// Outcome of serving one logical record.
 #[derive(Debug, Clone, Copy)]
 pub struct ServedIo {
@@ -76,9 +139,53 @@ pub struct StreamHarness {
 }
 
 impl StreamHarness {
+    /// Checks that [`new`](Self::new) can place `items` on a unit of
+    /// `num_enclosures` enclosures from `cfg`: ids are unique, every home
+    /// is one of the unit's enclosures, and each enclosure's items fit
+    /// its capacity. Run it on catalogs from outside the program (items
+    /// files, checkpointed placements) before building the harness,
+    /// which panics on them.
+    pub fn check_catalog(
+        items: &[CatalogItem],
+        num_enclosures: u16,
+        cfg: &StorageConfig,
+    ) -> Result<(), CatalogError> {
+        let mut ids: Vec<u32> = items.iter().map(|i| i.id.0).collect();
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(CatalogError::DuplicateId {
+                item: DataItemId(w[0]),
+            });
+        }
+        let mut free = vec![cfg.enclosure.capacity_bytes; num_enclosures as usize];
+        for item in items {
+            let Some(left) = free.get_mut(item.enclosure.0 as usize) else {
+                return Err(CatalogError::NoSuchEnclosure {
+                    item: item.id,
+                    enclosure: item.enclosure,
+                    num_enclosures,
+                });
+            };
+            *left = left
+                .checked_sub(item.size)
+                .ok_or(CatalogError::OverCapacity {
+                    item: item.id,
+                    size: item.size,
+                    enclosure: item.enclosure,
+                    free: *left,
+                })?;
+        }
+        Ok(())
+    }
+
     /// Builds the harness: a storage unit from `cfg` with
     /// `num_enclosures` enclosures (overriding `cfg.num_enclosures`), and
     /// every catalog item placed on its initial home.
+    ///
+    /// # Panics
+    /// Panics on a home outside the unit or an enclosure over capacity
+    /// (a repeated id is counted twice instead); see
+    /// [`check_catalog`](Self::check_catalog).
     pub fn new(items: &[CatalogItem], num_enclosures: u16, cfg: &StorageConfig) -> Self {
         let mut cfg = *cfg;
         cfg.num_enclosures = num_enclosures;

@@ -17,8 +17,8 @@
 
 use ees_iotrace::{DataItemId, Micros, MIB};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
+use std::hash::{BuildHasher, Hash, RandomState};
 
 /// Cache geometry and behaviour parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,30 +65,50 @@ impl CacheConfig {
 
 /// A fixed-capacity LRU set with O(1) touch/insert/evict, used for the
 /// general read cache (capacity counted in entries, i.e. extents).
+///
+/// Keys live in a slot arena threaded by a doubly-linked recency list. An
+/// open-addressing (linear-probing) index maps a key's hash to its slot
+/// number. A touch hashes its key once, with the set's own `RandomState`
+/// (extent keys come from trace offsets, so a fixed-key hasher would let
+/// crafted input collide); every slot keeps its key's hash, so evicting
+/// the tail and growing the index never hash again.
 #[derive(Debug, Clone)]
-pub struct LruSet<K: std::hash::Hash + Eq + Clone> {
-    map: HashMap<K, usize>,
+pub struct LruSet<K: Hash + Eq> {
+    hasher: RandomState,
+    /// Slot number per index position, `NIL` where empty. Its length is
+    /// a power of two and at least twice the number of resident keys, so
+    /// every probe run ends at an empty position.
+    index: Vec<u32>,
     slots: Vec<Slot<K>>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+    head: u32, // most recently used
+    tail: u32, // least recently used
     capacity: usize,
 }
 
 #[derive(Debug, Clone)]
 struct Slot<K> {
     key: K,
-    prev: usize,
-    next: usize,
+    hash: u64,
+    prev: u32,
+    next: u32,
 }
 
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
-impl<K: std::hash::Hash + Eq + Clone> LruSet<K> {
-    /// Creates an LRU set holding at most `capacity` keys.
+/// Keys an [`LruSet`] allocates room for up front; a larger capacity
+/// grows the arena and index as keys arrive.
+const PREALLOC: usize = 1 << 12;
+
+impl<K: Hash + Eq> LruSet<K> {
+    /// Creates an LRU set holding at most `capacity` keys (slot numbers
+    /// are `u32`, so a larger capacity holds at most `u32::MAX - 1`).
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.min(NIL as usize);
+        let prealloc = capacity.min(PREALLOC);
         LruSet {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
-            slots: Vec::with_capacity(capacity.min(1 << 20)),
+            hasher: RandomState::new(),
+            index: vec![NIL; (2 * prealloc).next_power_of_two()],
+            slots: Vec::with_capacity(prealloc),
             head: NIL,
             tail: NIL,
             capacity,
@@ -97,12 +117,12 @@ impl<K: std::hash::Hash + Eq + Clone> LruSet<K> {
 
     /// Number of resident keys.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// `true` when no keys are resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// Looks `key` up, inserting it (and evicting the LRU key if full) on a
@@ -111,66 +131,130 @@ impl<K: std::hash::Hash + Eq + Clone> LruSet<K> {
         if self.capacity == 0 {
             return false;
         }
-        match self.map.entry(key.clone()) {
-            Entry::Occupied(e) => {
-                let idx = *e.get();
-                self.unlink(idx);
-                self.push_front(idx);
-                true
+        let hash = self.hasher.hash_one(&key);
+        let mask = self.index.len() - 1;
+        let mut pos = hash as usize & mask;
+        loop {
+            let s = self.index[pos];
+            if s == NIL {
+                break;
             }
-            Entry::Vacant(_) => {
-                if self.map.len() >= self.capacity {
-                    let victim = self.tail;
-                    debug_assert_ne!(victim, NIL);
-                    self.unlink(victim);
-                    let old = std::mem::replace(&mut self.slots[victim].key, key.clone());
-                    self.map.remove(&old);
-                    self.map.insert(key, victim);
-                    self.push_front(victim);
-                } else {
-                    let idx = self.slots.len();
-                    self.slots.push(Slot {
-                        key: key.clone(),
-                        prev: NIL,
-                        next: NIL,
-                    });
-                    self.map.insert(key, idx);
-                    self.push_front(idx);
-                }
-                false
+            let slot = &self.slots[s as usize];
+            if slot.hash == hash && slot.key == key {
+                self.unlink(s);
+                self.push_front(s);
+                return true;
             }
+            pos = (pos + 1) & mask;
         }
+        let s = if self.slots.len() < self.capacity {
+            if 2 * (self.slots.len() + 1) > self.index.len() {
+                self.grow();
+            }
+            self.slots.push(Slot {
+                key,
+                hash,
+                prev: NIL,
+                next: NIL,
+            });
+            (self.slots.len() - 1) as u32
+        } else {
+            // Reuse the least recently used key's slot. Unindexing it may
+            // shift entries back into the probe run that ended at `pos`,
+            // so the insert below probes again (from the kept hash).
+            let victim = self.tail;
+            debug_assert_ne!(victim, NIL);
+            self.unlink(victim);
+            self.unindex(victim);
+            let slot = &mut self.slots[victim as usize];
+            slot.key = key;
+            slot.hash = hash;
+            victim
+        };
+        self.reindex(s);
+        self.push_front(s);
+        false
     }
 
     /// Drops every key.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.index.fill(NIL);
         self.slots.clear();
         self.head = NIL;
         self.tail = NIL;
     }
 
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.slots[idx].prev, self.slots[idx].next);
+    /// Records slot `s` at the first empty position of its hash's probe
+    /// run.
+    fn reindex(&mut self, s: u32) {
+        let mask = self.index.len() - 1;
+        let mut pos = self.slots[s as usize].hash as usize & mask;
+        while self.index[pos] != NIL {
+            pos = (pos + 1) & mask;
+        }
+        self.index[pos] = s;
+    }
+
+    /// Removes slot `s` from the index by backward-shift deletion: each
+    /// later entry of the probe run whose home position does not lie in
+    /// the cyclic range (hole, entry] moves back into the hole, so no
+    /// tombstones are left and every remaining key stays reachable.
+    fn unindex(&mut self, s: u32) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.slots[s as usize].hash as usize & mask;
+        while self.index[hole] != s {
+            hole = (hole + 1) & mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let t = self.index[j];
+            if t == NIL {
+                break;
+            }
+            let home = self.slots[t as usize].hash as usize & mask;
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.index[hole] = t;
+                hole = j;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
+    /// Doubles the index and re-inserts every slot from its kept hash.
+    fn grow(&mut self) {
+        self.index = vec![NIL; (2 * self.index.len()).max(2)];
+        for s in 0..self.slots.len() as u32 {
+            self.reindex(s);
+        }
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let (prev, next) = {
+            let s = &self.slots[idx as usize];
+            (s.prev, s.next)
+        };
         if prev != NIL {
-            self.slots[prev].next = next;
+            self.slots[prev as usize].next = next;
         } else if self.head == idx {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next].prev = prev;
+            self.slots[next as usize].prev = prev;
         } else if self.tail == idx {
             self.tail = prev;
         }
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = NIL;
+        let s = &mut self.slots[idx as usize];
+        s.prev = NIL;
+        s.next = NIL;
     }
 
-    fn push_front(&mut self, idx: usize) {
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = self.head;
+    fn push_front(&mut self, idx: u32) {
+        let s = &mut self.slots[idx as usize];
+        s.prev = NIL;
+        s.next = self.head;
         if self.head != NIL {
-            self.slots[self.head].prev = idx;
+            self.slots[self.head as usize].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -186,11 +270,13 @@ pub type FlushSet = Vec<(DataItemId, u64)>;
 #[derive(Debug, Clone)]
 pub struct StorageCache {
     cfg: CacheConfig,
-    /// Items pinned by the preload function, with their sizes.
-    preload: BTreeMap<DataItemId, u64>,
-    /// Items under write delay.
-    write_delay: BTreeSet<DataItemId>,
-    /// Dirty bytes per write-delayed item.
+    /// Items pinned by the preload function, as a membership table
+    /// indexed by item id (ids are dense within a catalog); ids past the
+    /// end are not preloaded.
+    preload: Vec<bool>,
+    /// Items under write delay, as a membership table like `preload`.
+    write_delay: Vec<bool>,
+    /// Dirty bytes per write-delayed item, in id order (the flush order).
     dirty: BTreeMap<DataItemId, u64>,
     dirty_total: u64,
     /// General read cache over (item, extent) pairs.
@@ -209,8 +295,8 @@ impl StorageCache {
         let general_entries = (cfg.general_bytes() / cfg.extent_bytes.max(1)) as usize;
         StorageCache {
             cfg,
-            preload: BTreeMap::new(),
-            write_delay: BTreeSet::new(),
+            preload: Vec::new(),
+            write_delay: Vec::new(),
             dirty: BTreeMap::new(),
             dirty_total: 0,
             general: LruSet::new(general_entries),
@@ -243,16 +329,16 @@ impl StorageCache {
         let new: BTreeMap<DataItemId, u64> = items.into_iter().collect();
         let to_load: Vec<(DataItemId, u64)> = new
             .iter()
-            .filter(|(id, _)| !self.preload.contains_key(id))
+            .filter(|(&id, _)| !member(&self.preload, id))
             .map(|(&id, &s)| (id, s))
             .collect();
-        self.preload = new;
+        refill(&mut self.preload, new.into_keys());
         to_load
     }
 
     /// Whether reads of `item` are served from the preload partition.
     pub fn is_preloaded(&self, item: DataItemId) -> bool {
-        self.preload.contains_key(&item)
+        member(&self.preload, item)
     }
 
     /// Replaces the write-delay set (§V.B). Dirty bytes of items that left
@@ -260,12 +346,12 @@ impl StorageCache {
     /// updated data items onto disk enclosures when the *write delay
     /// applied* data items are changed"); they are returned as a flush set.
     pub fn set_write_delay(&mut self, items: impl IntoIterator<Item = DataItemId>) -> FlushSet {
-        let new: BTreeSet<DataItemId> = items.into_iter().collect();
+        refill(&mut self.write_delay, items);
         let mut out = Vec::new();
         let removed: Vec<DataItemId> = self
             .dirty
             .keys()
-            .filter(|id| !new.contains(id))
+            .filter(|&&id| !member(&self.write_delay, id))
             .copied()
             .collect();
         for id in removed {
@@ -274,13 +360,12 @@ impl StorageCache {
                 out.push((id, bytes));
             }
         }
-        self.write_delay = new;
         out
     }
 
     /// Whether writes to `item` are buffered by the write-delay function.
     pub fn is_write_delayed(&self, item: DataItemId) -> bool {
-        self.write_delay.contains(&item)
+        member(&self.write_delay, item)
     }
 
     /// Buffers one write to a write-delayed item. Returns a flush set when
@@ -291,7 +376,7 @@ impl StorageCache {
     /// Panics (debug only) if `item` is not under write delay.
     pub fn buffer_write(&mut self, item: DataItemId, len: u32) -> Option<FlushSet> {
         debug_assert!(
-            self.write_delay.contains(&item),
+            self.is_write_delayed(item),
             "buffer_write on an item not under write delay"
         );
         *self.dirty.entry(item).or_insert(0) += len as u64;
@@ -324,7 +409,7 @@ impl StorageCache {
     /// then the general extent LRU (which also admits on miss). Returns
     /// `true` when the read is absorbed by the cache.
     pub fn read_lookup(&mut self, item: DataItemId, offset: u64) -> bool {
-        if self.preload.contains_key(&item) {
+        if member(&self.preload, item) {
             self.preload_hits += 1;
             return true;
         }
@@ -353,6 +438,24 @@ impl StorageCache {
             self.buffered_writes,
             self.flushes,
         )
+    }
+}
+
+/// Whether `id` is marked in a membership table indexed by item id.
+fn member(table: &[bool], id: DataItemId) -> bool {
+    table.get(id.0 as usize).copied().unwrap_or(false)
+}
+
+/// Replaces a membership table's contents with `ids`, growing it to the
+/// largest id marked.
+fn refill(table: &mut Vec<bool>, ids: impl IntoIterator<Item = DataItemId>) {
+    table.fill(false);
+    for id in ids {
+        let i = id.0 as usize;
+        if i >= table.len() {
+            table.resize(i + 1, false);
+        }
+        table[i] = true;
     }
 }
 
@@ -399,6 +502,23 @@ mod tests {
         assert!(!lru.touch(2));
         assert!(!lru.touch(1));
         assert_eq!(lru.len(), 1);
+    }
+
+    #[test]
+    fn lru_index_grows_past_its_initial_size() {
+        let cap = 3 * PREALLOC + 5;
+        let mut lru = LruSet::new(cap);
+        for k in 0..cap as u64 {
+            assert!(!lru.touch(k));
+        }
+        assert!((0..cap as u64).all(|k| lru.touch(k)), "every key resident");
+        // A second full generation evicts the first, oldest first.
+        for k in cap as u64..2 * cap as u64 {
+            assert!(!lru.touch(k));
+        }
+        assert_eq!(lru.len(), cap);
+        assert!(!lru.touch(0), "first generation evicted");
+        assert!(lru.touch(2 * cap as u64 - 1));
     }
 
     #[test]
@@ -479,6 +599,38 @@ mod tests {
         assert_eq!(flushed, vec![(DataItemId(2), 2048)]);
         assert_eq!(c.dirty_bytes(), 1024);
         assert!(!c.is_write_delayed(DataItemId(2)));
+    }
+
+    #[test]
+    fn ids_past_every_table_are_in_neither_set() {
+        let mut c = cache();
+        let far = DataItemId(u32::MAX);
+        assert!(!c.is_preloaded(far) && !c.is_write_delayed(far));
+        c.set_preload(vec![(DataItemId(3), MIB)]);
+        c.set_write_delay(vec![DataItemId(9)]);
+        for id in [DataItemId(4), DataItemId(10), DataItemId(1_000_000), far] {
+            assert!(!c.is_preloaded(id), "{id}");
+            assert!(!c.is_write_delayed(id), "{id}");
+        }
+        assert!(
+            !c.read_lookup(DataItemId(10), 0),
+            "falls through to the LRU"
+        );
+    }
+
+    #[test]
+    fn departed_ids_test_false_after_a_set_shrinks() {
+        let mut c = cache();
+        c.set_preload(vec![(DataItemId(2), MIB), (DataItemId(40), MIB)]);
+        c.set_write_delay(vec![DataItemId(5), DataItemId(70)]);
+        c.set_preload(vec![(DataItemId(2), MIB)]);
+        c.set_write_delay(vec![DataItemId(5)]);
+        assert!(c.is_preloaded(DataItemId(2)) && !c.is_preloaded(DataItemId(40)));
+        assert!(c.is_write_delayed(DataItemId(5)) && !c.is_write_delayed(DataItemId(70)));
+        c.set_preload(Vec::new());
+        c.set_write_delay(Vec::new());
+        assert!(!c.is_preloaded(DataItemId(2)));
+        assert!(!c.is_write_delayed(DataItemId(5)));
     }
 
     #[test]

@@ -92,6 +92,9 @@ pub struct EnclosureStats {
 pub struct DiskEnclosure {
     id: EnclosureId,
     cfg: EnclosureConfig,
+    /// `cfg.service`'s (occupancy, latency) of one request, evaluated
+    /// once per `[access][kind]` instead of per I/O.
+    service_times: [[(Micros, Micros); 2]; 2],
     /// Policy decision: may this enclosure power off when idle?
     eligible_off: bool,
     status: Status,
@@ -116,9 +119,18 @@ impl DiskEnclosure {
     /// Creates a powered-on, idle enclosure at time zero, not eligible for
     /// power-off (the safe default every policy starts from).
     pub fn new(id: EnclosureId, cfg: EnclosureConfig) -> Self {
+        let service_times = [Access::Random, Access::Sequential].map(|access| {
+            [IoKind::Read, IoKind::Write].map(|kind| {
+                (
+                    cfg.service.occupancy(access, kind),
+                    cfg.service.latency(access),
+                )
+            })
+        });
         DiskEnclosure {
             id,
             cfg,
+            service_times,
             eligible_off: false,
             status: Status::On,
             clock: Micros::ZERO,
@@ -224,7 +236,7 @@ impl DiskEnclosure {
         self.advance(t);
         let (power_ready, triggered_spin_up) = self.ensure_powered(t);
         let start = self.busy_until.max(power_ready).max(t);
-        let occupancy = self.cfg.service.occupancy(access, kind);
+        let (occupancy, latency) = self.service_times[access as usize][kind as usize];
         self.busy_until = start + occupancy;
 
         self.stats.ios += 1;
@@ -235,7 +247,7 @@ impl DiskEnclosure {
         self.stats.bytes += len as u64;
 
         IoOutcome {
-            response: (start - t) + occupancy + self.cfg.service.latency(access),
+            response: (start - t) + occupancy + latency,
             power_wait: power_ready.saturating_sub(t),
             triggered_spin_up,
         }
@@ -411,6 +423,24 @@ mod tests {
         // occupancy 1/900 s + random latency ≈ 1.111 ms + 13.25 ms.
         let expect = Micros::from_secs_f64(1.0 / 900.0) + Micros(13_250);
         assert_eq!(out.response, expect);
+    }
+
+    #[test]
+    fn precomputed_service_times_match_the_model() {
+        let model = EnclosureConfig::ams2500().service;
+        for access in [Access::Random, Access::Sequential] {
+            for kind in [IoKind::Read, IoKind::Write] {
+                let mut e = enc();
+                let occupancy = model.occupancy(access, kind);
+                let out = e.submit(SEC, 4096, kind, access);
+                assert_eq!(
+                    out.response,
+                    occupancy + model.latency(access),
+                    "{access:?} {kind:?}"
+                );
+                assert_eq!(e.busy_until(), SEC + occupancy, "{access:?} {kind:?}");
+            }
+        }
     }
 
     #[test]

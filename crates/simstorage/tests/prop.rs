@@ -58,17 +58,25 @@ proptest! {
         prop_assert_eq!(e.meter().time_in(PowerMode::SpinUp), Micros::ZERO);
     }
 
-    /// LruSet behaves exactly like a naive move-to-front list model.
+    /// LruSet behaves exactly like a naive move-to-front list model, on
+    /// the general cache's own `(item, extent)` keys. The key space is
+    /// four to five times the capacity, so most touches of a full set
+    /// miss and evict: backward-shift deletion and probe runs wrapping
+    /// past the end of the index run on every case.
     #[test]
     fn lru_matches_naive_model(
-        (cap, keys) in (1usize..16, prop::collection::vec(0u32..32, 0..300))
+        (cap, keys) in (1usize..=80).prop_flat_map(|cap| {
+            let space = 4 * cap as u64 + 4;
+            (Just(cap), prop::collection::vec(0..space, 0..800))
+        })
     ) {
         let mut lru = LruSet::new(cap);
-        let mut model: Vec<u32> = Vec::new(); // front = most recent
+        let mut model: Vec<(DataItemId, u64)> = Vec::new(); // front = most recent
         for k in keys {
+            let k = (DataItemId((k % 5) as u32), k / 5);
             let expect_hit = model.contains(&k);
             let got_hit = lru.touch(k);
-            prop_assert_eq!(got_hit, expect_hit, "key {}", k);
+            prop_assert_eq!(got_hit, expect_hit, "key {:?}", k);
             model.retain(|&x| x != k);
             model.insert(0, k);
             model.truncate(cap);
