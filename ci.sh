@@ -10,6 +10,17 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== dependency policy (workspace crates only at run time) =="
+# Every normal and build dependency must be a workspace (ees*) crate: the
+# only external crates are the dev-dependencies proptest and criterion.
+# A registry crate in the runtime graph fails here by name.
+FOREIGN="$(cargo tree --workspace -e normal,build --prefix none \
+    | awk 'NF { print $1 }' | grep -v '^ees' | sort -u || true)"
+if [ -n "$FOREIGN" ]; then
+    echo "external runtime dependencies:" $FOREIGN
+    exit 1
+fi
+
 echo "== cargo test =="
 cargo test --workspace -q
 

@@ -16,6 +16,7 @@
 
 use ees_bench::format::{bytes, response, saving, table, watts};
 use ees_bench::reference;
+use ees_bench::report_json::reports_json;
 use ees_bench::{classify_whole_run, make_workload, run_methods_matrix};
 use ees_bench::{ExperimentSetup, Method, MethodReports, WorkloadKind};
 use ees_core::{EnergyEfficientPolicy, LogicalIoPattern};
@@ -262,15 +263,10 @@ fn export(h: &mut Harness) {
     // Machine-readable summary of every report, one JSON file per
     // workload.
     for kind in WorkloadKind::ALL {
-        let reports = h.reports(kind);
-        let json: Vec<serde_json::Value> = reports
-            .reports
-            .iter()
-            .map(|r| serde_json::to_value(r).expect("report serializes"))
-            .collect();
+        let json = reports_json(&h.reports(kind).reports);
         let slug = kind.name().to_lowercase().replace([' ', '-'], "_");
         let path = dir.join(format!("{slug}_reports.json"));
-        if let Err(e) = std::fs::write(&path, serde_json::to_string_pretty(&json).unwrap()) {
+        if let Err(e) = std::fs::write(&path, json) {
             eprintln!("cannot write {}: {e}", path.display());
         }
     }

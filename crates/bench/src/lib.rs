@@ -10,6 +10,7 @@
 pub mod experiments;
 pub mod format;
 pub mod reference;
+pub mod report_json;
 
 /// Re-export of the shared fork–join pool, which moved to `ees-iotrace`
 /// so the online subsystem can size its shard pool from the same

@@ -309,7 +309,7 @@ fn gen(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result<()
     let trace_path = flags.out.join(format!("{name}.trace.jsonl"));
     let items_path = flags.out.join(format!("{name}.items.json"));
     let mut w = BufWriter::new(File::create(&trace_path)?);
-    ees_iotrace::io::write_jsonl(&workload.trace, &mut w)?;
+    ees_iotrace::ndjson::write_events(workload.trace.records(), &mut w)?;
     w.flush()?;
     std::fs::write(&items_path, items_to_json(&workload.items))?;
     writeln!(
@@ -325,7 +325,7 @@ fn gen(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result<()
 
 fn read_trace(path: &Path) -> Result<ees_iotrace::LogicalTrace, CliError> {
     let f = File::open(path)?;
-    Ok(ees_iotrace::io::read_jsonl(BufReader::new(f))?)
+    Ok(ees_iotrace::ndjson::read_jsonl(BufReader::new(f))?)
 }
 
 /// `ees stats`: summarizes a JSONL trace.
@@ -450,7 +450,7 @@ fn mix(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result<()
     let trace_path = flags.out.join("mix.trace.jsonl");
     let items_path = flags.out.join("mix.items.json");
     let mut w = BufWriter::new(File::create(&trace_path)?);
-    ees_iotrace::io::write_jsonl(&combined.trace, &mut w)?;
+    ees_iotrace::ndjson::write_events(combined.trace.records(), &mut w)?;
     w.flush()?;
     std::fs::write(&items_path, items_to_json(&combined.items))?;
     writeln!(
@@ -620,7 +620,11 @@ fn online(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result
     // senders can speak either form. On resume the checkpointed name
     // table restores first — identical table, identical ids, identical
     // plan bytes.
-    let floor = items.iter().map(|i| i.id.0 + 1).max().unwrap_or(0);
+    let floor = items
+        .iter()
+        .map(|i| i.id.0.saturating_add(1))
+        .max()
+        .unwrap_or(0);
     let mut interner = ItemInterner::with_floor(floor);
     let mut resume_skip = 0u64;
     let mut daemon = match &flags.checkpoint {
@@ -1561,6 +1565,19 @@ mod tests {
         });
         assert!(
             msg.contains("item 0 is placed on enclosure 65535, but the unit has 65535 enclosures"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn online_rejects_an_item_id_past_the_cap() {
+        // The largest id would size the harness's dense per-item tables
+        // (and wrap the name interner's floor) if it got through.
+        let msg = online_with_edited_items("idcap", |items| {
+            items.last_mut().unwrap().id = ees_iotrace::DataItemId(u32::MAX)
+        });
+        assert!(
+            msg.contains("item id 4294967295 is too large (ids must be below 16777216)"),
             "{msg}"
         );
     }

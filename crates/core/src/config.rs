@@ -1,10 +1,9 @@
 //! Tunables of the proposed method (Table II).
 
 use ees_iotrace::{Micros, MIB};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the energy-efficient storage management method.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProposedConfig {
     /// Initial monitoring period (Table II: 520 s — ten times the
     /// break-even time).

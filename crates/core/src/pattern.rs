@@ -9,11 +9,10 @@
 //! | **P3** | one Sequence spanning the period (no Long Interval) | none — keep its enclosure hot |
 
 use ees_iotrace::ItemIntervalStats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the paper's four logical I/O patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LogicalIoPattern {
     /// No I/O during the monitoring period.
     P0,
@@ -94,7 +93,7 @@ pub fn classify(stats: &ItemIntervalStats) -> LogicalIoPattern {
 }
 
 /// Aggregate pattern counts over a set of items — the data behind Fig. 6.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatternMix {
     /// Items classified P0.
     pub p0: usize,

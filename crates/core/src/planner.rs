@@ -232,8 +232,13 @@ impl Planner {
             }
         }
         let preload = merged;
+        // Membership through a set: write-delay sets reach thousands of
+        // items (cloud-block), where a scan per retained item is
+        // quadratic. `write_delay` keeps its order.
+        let mut selected: BTreeSet<DataItemId> = write_delay.iter().copied().collect();
         for &id in &self.last_write_delay {
-            if !write_delay.contains(&id) && is_cold_resident(id) {
+            if !selected.contains(&id) && is_cold_resident(id) {
+                selected.insert(id);
                 write_delay.push(id);
             }
         }

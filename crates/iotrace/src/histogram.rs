@@ -6,7 +6,6 @@
 //! relative resolution over twelve decades in 384 fixed buckets.
 
 use crate::types::Micros;
-use serde::{Deserialize, Serialize};
 
 /// Number of buckets: 32 per factor-of-ten across 12 decades.
 const BUCKETS: usize = 384;
@@ -14,7 +13,7 @@ const BUCKETS: usize = 384;
 const PER_DECADE: f64 = 32.0;
 
 /// A fixed-size logarithmic histogram over [`Micros`] values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,
@@ -63,6 +62,11 @@ impl LatencyHistogram {
         if v > self.max {
             self.max = v;
         }
+    }
+
+    /// Per-bucket counts, lowest bucket first.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
     }
 
     /// Number of recorded values.
@@ -194,14 +198,5 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.min(), Some(Micros(0)));
         assert_eq!(h.max(), Some(Micros(u64::MAX)));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut h = LatencyHistogram::new();
-        h.record(Micros(777));
-        let json = serde_json::to_string(&h).unwrap();
-        let back: LatencyHistogram = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, h);
     }
 }

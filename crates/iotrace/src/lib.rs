@@ -11,8 +11,8 @@
 //!   Sequences** — plus IOPS series and the Fig. 17–19 cumulative
 //!   interval-length curve ([`stats`]), both batch
 //!   ([`analyze_item_period`]) and streaming ([`IntervalBuilder`]),
-//! * JSON-Lines trace serialization ([`io`]) and the dependency-free
-//!   NDJSON event codec of the online controller ([`ndjson`]),
+//! * the dependency-free NDJSON event codec that trace files and the
+//!   online controller share ([`ndjson`]),
 //! * the `ees.event.v1` compact binary wire format ([`wire`]) and the
 //!   dense item-id interning it feeds ([`intern`]),
 //! * zero-copy file input for the parallel front ends: memory-mapped
@@ -30,7 +30,6 @@
 pub mod chunk;
 pub mod histogram;
 pub mod intern;
-pub mod io;
 pub mod mmap;
 pub mod ndjson;
 pub mod parallel;
@@ -45,7 +44,7 @@ pub use histogram::LatencyHistogram;
 pub use intern::{DenseItemMap, ItemInterner, DENSE_ID_LIMIT};
 pub use mmap::{map_file, Mmap};
 pub use ndjson::EventReader;
-pub use record::{LogicalIoRecord, LogicalTrace, PhysicalIoRecord, PhysicalTrace};
+pub use record::{LogicalIoRecord, LogicalTrace, PhysicalIoRecord};
 pub use scan::{ScanIsa, Scanner};
 pub use slice::{summarize, TraceSummary};
 pub use stats::{

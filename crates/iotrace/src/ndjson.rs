@@ -1,27 +1,28 @@
-//! Dependency-free NDJSON event codec for logical I/O records — the wire
-//! format of the online controller (`ees-online`).
+//! Dependency-free NDJSON event codec for logical I/O records — the
+//! trace-file format of `ees gen` and the wire format of the online
+//! controller (`ees-online`).
 //!
-//! Each line is one flat JSON object, byte-compatible with what
-//! `serde_json` produces for a [`LogicalIoRecord`]:
+//! Each line is one flat JSON object, fields in [`LogicalIoRecord`]
+//! declaration order:
 //!
 //! ```text
 //! {"ts":1000000,"item":1,"offset":0,"len":4096,"kind":"Read"}
 //! ```
 //!
-//! The codec is hand-rolled rather than routed through `serde_json` for
+//! The codec is hand-rolled rather than routed through a JSON library for
 //! two reasons: the daemon parses events on its ingest hot path and a flat
 //! five-field object does not need a generic JSON tree, and the writer
 //! side must stream records one line at a time without buffering a trace.
 //! The parser is tolerant: fields may appear in any order, whitespace is
 //! skipped, blank lines and `#` comment lines are ignored by the reader.
 
-use crate::record::LogicalIoRecord;
+use crate::record::{LogicalIoRecord, LogicalTrace};
 use crate::types::{DataItemId, IoKind, Micros};
 use std::borrow::Cow;
 use std::io::BufRead;
 
-/// Formats one record as a single NDJSON line (no trailing newline),
-/// matching `serde_json`'s field order and spacing.
+/// Formats one record as a single NDJSON line (no trailing newline):
+/// fields in declaration order, no spaces.
 pub fn format_event(rec: &LogicalIoRecord) -> String {
     format!(
         "{{\"ts\":{},\"item\":{},\"offset\":{},\"len\":{},\"kind\":\"{}\"}}",
@@ -710,9 +711,68 @@ impl<R: BufRead> Iterator for EventReader<R> {
     }
 }
 
+/// Reads a whole NDJSON trace (as [`write_events`] writes it) into a
+/// [`LogicalTrace`].
+///
+/// Blank and `#` lines are skipped; records are re-sorted by timestamp so
+/// that concatenated per-stream files parse into a valid trace.
+pub fn read_jsonl<R: BufRead>(r: R) -> std::io::Result<LogicalTrace> {
+    let records: Vec<LogicalIoRecord> = EventReader::new(r).collect::<std::io::Result<_>>()?;
+    Ok(LogicalTrace::from_unsorted(records))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn jsonl_roundtrip() {
+        let trace = LogicalTrace::from_unsorted(vec![
+            LogicalIoRecord {
+                ts: Micros::from_secs(1),
+                item: DataItemId(1),
+                offset: 0,
+                len: 4096,
+                kind: IoKind::Read,
+            },
+            LogicalIoRecord {
+                ts: Micros::from_secs(2),
+                item: DataItemId(2),
+                offset: 8192,
+                len: 512,
+                kind: IoKind::Write,
+            },
+        ]);
+        let mut buf = Vec::new();
+        write_events(trace.records(), &mut buf).unwrap();
+        let back = read_jsonl(buf.as_slice()).unwrap();
+        assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn jsonl_skips_blank_lines_and_resorts() {
+        let text = concat!(
+            r#"{"ts":2000000,"item":2,"offset":0,"len":512,"kind":"Write"}"#,
+            "\n\n",
+            r#"{"ts":1000000,"item":1,"offset":0,"len":4096,"kind":"Read"}"#,
+            "\n"
+        );
+        let trace = read_jsonl(text.as_bytes()).unwrap();
+        assert_eq!(trace.len(), 2);
+        assert_eq!(trace.records()[0].item, DataItemId(1));
+    }
+
+    #[test]
+    fn jsonl_rejects_garbage() {
+        let err = read_jsonl("not json\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn jsonl_empty_input_is_empty_trace() {
+        let trace = read_jsonl("".as_bytes()).unwrap();
+        assert!(trace.is_empty());
+    }
 
     #[test]
     fn named_parser_accepts_both_item_forms() {

@@ -1,4 +1,4 @@
-//! Logical and physical I/O trace records and trace containers.
+//! Logical and physical I/O trace records and the logical trace container.
 //!
 //! The paper's Application Monitor captures a **logical I/O trace** — one
 //! record per I/O issued by the application, identified by *data item*
@@ -7,12 +7,11 @@
 //! enclosure (§III.B). Both are append-only, timestamp-ordered sequences.
 
 use crate::types::{DataItemId, EnclosureId, IoKind, Micros};
-use serde::{Deserialize, Serialize};
 
 /// One application-level I/O: what the Application Monitor records
 /// (paper §III.A — "a timestamp of when the I/O is issued, a data
 /// identifier, I/O address (offset) of the data, I/O size, and I/O type").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogicalIoRecord {
     /// When the application issued the I/O.
     pub ts: Micros,
@@ -28,7 +27,7 @@ pub struct LogicalIoRecord {
 
 /// One storage-level I/O: what the Storage Monitor records (paper §III.B —
 /// "a timestamp, a name of a disk enclosure, a block address, and I/O type").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysicalIoRecord {
     /// When the block-virtualization layer issued the I/O to the enclosure.
     pub ts: Micros,
@@ -46,7 +45,7 @@ pub struct PhysicalIoRecord {
 ///
 /// Records must be pushed in non-decreasing timestamp order; this is checked
 /// in debug builds and is what every downstream statistic assumes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LogicalTrace {
     records: Vec<LogicalIoRecord>,
 }
@@ -149,53 +148,6 @@ impl FromIterator<LogicalIoRecord> for LogicalTrace {
     }
 }
 
-/// An append-only, timestamp-ordered physical I/O trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhysicalTrace {
-    records: Vec<PhysicalIoRecord>,
-}
-
-impl PhysicalTrace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a record. Timestamps must be non-decreasing.
-    pub fn push(&mut self, rec: PhysicalIoRecord) {
-        debug_assert!(
-            self.records.last().is_none_or(|last| last.ts <= rec.ts),
-            "physical trace must be pushed in timestamp order"
-        );
-        self.records.push(rec);
-    }
-
-    /// The records, in timestamp order.
-    pub fn records(&self) -> &[PhysicalIoRecord] {
-        &self.records
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when the trace holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Discards all records but keeps the allocation.
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-
-    /// Iterates over the records.
-    pub fn iter(&self) -> impl Iterator<Item = &PhysicalIoRecord> {
-        self.records.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,23 +220,6 @@ mod tests {
         t.push(rec(1, 0, IoKind::Read));
         t.clear();
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn physical_trace_roundtrip() {
-        let mut t = PhysicalTrace::new();
-        t.push(PhysicalIoRecord {
-            ts: Micros::from_secs(1),
-            enclosure: EnclosureId(3),
-            block: 4096,
-            len: 8192,
-            kind: IoKind::Write,
-        });
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.records()[0].enclosure, EnclosureId(3));
-        let json = serde_json::to_string(&t).unwrap();
-        let back: PhysicalTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 use crate::record::{LogicalIoRecord, LogicalTrace};
 use crate::stats::Span;
 use crate::types::{DataItemId, IoKind, Micros};
-use serde::{Deserialize, Serialize};
 
 /// Returns the records of `trace` whose timestamps fall in `window`
 /// (binary-searched; O(log n + m)).
@@ -28,7 +27,7 @@ pub fn of_kind(trace: &LogicalTrace, kind: IoKind) -> LogicalTrace {
 }
 
 /// Compact summary of a trace slice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSummary {
     /// Records summarized.
     pub records: u64,

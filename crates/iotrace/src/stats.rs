@@ -17,11 +17,10 @@
 use crate::intern::DenseItemMap;
 use crate::record::LogicalIoRecord;
 use crate::types::{DataItemId, IoKind, Micros};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A half-open time span `[start, end)` within a monitoring period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Span start.
     pub start: Micros,
@@ -43,7 +42,7 @@ impl Span {
 
 /// One I/O Sequence: a burst of I/Os whose internal gaps are all at most
 /// the break-even time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoSequence {
     /// Time of the first I/O in the sequence.
     pub start: Micros,
@@ -63,7 +62,7 @@ impl IoSequence {
 }
 
 /// Interval structure of one data item over one monitoring period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ItemIntervalStats {
     /// The data item analysed.
     pub item: DataItemId,
@@ -410,7 +409,7 @@ pub fn split_by_item_dense(records: &[LogicalIoRecord]) -> DenseItemMap<Vec<Logi
 ///
 /// Used for the paper's `I_max` (§IV.C step 1): the engine sums the series
 /// of all P3 items and takes the maximum bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IopsSeries {
     /// Period start (bucket 0 begins here).
     pub start: Micros,
@@ -470,7 +469,7 @@ impl IopsSeries {
 /// intervals **longer than the break-even time** whose length is at most X.
 /// A policy that creates more/longer power-off opportunities shows a higher
 /// curve.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IntervalCdf {
     /// Interval lengths above the break-even time, sorted ascending.
     lengths: Vec<Micros>,
@@ -483,6 +482,11 @@ impl IntervalCdf {
         let mut lengths: Vec<Micros> = intervals.into_iter().filter(|&l| l > break_even).collect();
         lengths.sort_unstable();
         Self { lengths }
+    }
+
+    /// The qualifying interval lengths, ascending.
+    pub fn lengths(&self) -> &[Micros] {
+        &self.lengths
     }
 
     /// Number of qualifying (longer-than-break-even) intervals.

@@ -5,7 +5,6 @@
 //! keeps every experiment bit-for-bit reproducible. Data sizes are plain
 //! byte counts (`u64`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -22,10 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(period.as_secs_f64(), 520.0);
 /// assert_eq!(period.mul_f64(1.2), Micros::from_secs(624)); // the paper's alpha
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Micros(pub u64);
 
 impl Micros {
@@ -151,8 +147,7 @@ impl fmt::Display for Micros {
 /// lives wholly on one disk enclosure (paper §II.C.1). A table, index, or
 /// file that spans enclosures is split into one data item per enclosure by
 /// the workload generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataItemId(pub u32);
 
 impl fmt::Display for DataItemId {
@@ -163,8 +158,7 @@ impl fmt::Display for DataItemId {
 
 /// Identifier of a disk enclosure — the power-saving unit of the paper
 /// (§II.A): a shelf of 15 RAID-6 HDDs that is powered on and off as a whole.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EnclosureId(pub u16);
 
 impl fmt::Display for EnclosureId {
@@ -175,8 +169,7 @@ impl fmt::Display for EnclosureId {
 
 /// Identifier of a logical volume exposed by the block-virtualization layer
 /// to the file/record layer (paper §III, Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VolumeId(pub u16);
 
 impl fmt::Display for VolumeId {
@@ -186,7 +179,7 @@ impl fmt::Display for VolumeId {
 }
 
 /// Direction of an I/O request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoKind {
     /// A read request.
     Read,
@@ -307,12 +300,5 @@ mod tests {
         assert_eq!(DataItemId(7).to_string(), "item#7");
         assert_eq!(EnclosureId(2).to_string(), "enc#2");
         assert_eq!(VolumeId(4).to_string(), "vol#4");
-    }
-
-    #[test]
-    fn serde_transparency() {
-        let t: Micros = serde_json::from_str("42").unwrap();
-        assert_eq!(t, Micros(42));
-        assert_eq!(serde_json::to_string(&DataItemId(9)).unwrap(), "9");
     }
 }

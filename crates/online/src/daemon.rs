@@ -455,6 +455,24 @@ mod tests {
                 assert!(matches!(err, OnlineError::Placement(_)), "{msg}");
                 assert!(msg.contains("item 0 ") && msg.contains(want), "{msg}");
             }
+            // A catalog id past the cap is refused before the harness
+            // sizes its dense per-item tables by it.
+            let mut past_cap = items.clone();
+            past_cap[3].id = DataItemId(u32::MAX);
+            let err = ColocatedDaemon::resume_with_options(
+                &past_cap,
+                2,
+                &storage,
+                ProposedConfig::default(),
+                shards,
+                ShardOptions::default(),
+                &cp,
+            )
+            .err()
+            .expect("refused");
+            let msg = err.to_string();
+            assert!(matches!(err, OnlineError::Placement(_)), "{msg}");
+            assert!(msg.contains("item id 4294967295 is too large"), "{msg}");
         }
     }
 }

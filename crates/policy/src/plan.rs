@@ -2,11 +2,10 @@
 //! method executes after each monitoring period (paper §IV–§V).
 
 use ees_iotrace::{DataItemId, EnclosureId, Micros};
-use serde::{Deserialize, Serialize};
 
 /// One data-item migration: move `item` to enclosure `to`. The source is
 /// wherever the placement map says the item currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Migration {
     /// The item to move.
     pub item: DataItemId,
@@ -21,7 +20,7 @@ pub const REDIRECT_EXTENT_BYTES: u64 = 64 * 1024 * 1024;
 /// A physical-extent relocation, the move unit of block-level methods
 /// (DDR): one [`REDIRECT_EXTENT_BYTES`]-sized extent of `item` is re-homed
 /// onto `to` without moving the rest of the item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtentRedirect {
     /// The item owning the extent.
     pub item: DataItemId,
@@ -39,7 +38,7 @@ pub struct ExtentRedirect {
 /// The `migrations` list is ordered: the run-time method executes it
 /// front-to-back, one item at a time (§V.A — P0/P1/P2 evictions from hot
 /// enclosures come first to make room for inbound P3 items).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ManagementPlan {
     /// Ordered item migrations.
     pub migrations: Vec<Migration>,
@@ -260,29 +259,5 @@ mod tests {
         };
         let bytes = p.migration_bytes(|id| if id == DataItemId(1) { 100 } else { 50 });
         assert_eq!(bytes, 150);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = ManagementPlan {
-            migrations: vec![Migration {
-                item: DataItemId(9),
-                to: EnclosureId(1),
-            }],
-            extent_redirects: vec![ExtentRedirect {
-                item: DataItemId(9),
-                extent: 3,
-                to: EnclosureId(0),
-                bytes: REDIRECT_EXTENT_BYTES,
-            }],
-            preload: vec![(DataItemId(2), 4096)],
-            write_delay: vec![DataItemId(3)],
-            power_off_eligible: vec![(EnclosureId(0), true)],
-            next_period: Some(Micros::from_secs(624)),
-            determinations: 1,
-        };
-        let json = serde_json::to_string(&p).unwrap();
-        let back: ManagementPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

@@ -5,7 +5,6 @@
 
 use ees_iotrace::{EnclosureId, IntervalCdf, LatencyHistogram, Micros};
 use ees_simstorage::PowerMode;
-use serde::{Deserialize, Serialize};
 
 /// Nearest-rank percentile over an ascending-sorted sample slice: the
 /// smallest sample whose rank is at least `⌈q·N⌉` (`q ∈ (0, 1]`; `q = 0`
@@ -25,7 +24,7 @@ pub fn nearest_rank(sorted: &[Micros], q: f64) -> Option<Micros> {
 }
 
 /// Per-enclosure outcome of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnclosureSummary {
     /// The enclosure.
     pub id: EnclosureId,
@@ -51,7 +50,7 @@ pub struct EnclosureSummary {
 }
 
 /// Aggregate outcome of replaying one workload under one policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Policy name.
     pub policy: String,

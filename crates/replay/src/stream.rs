@@ -18,6 +18,12 @@ use std::collections::{BTreeSet, HashMap};
 /// Sentinel in the dense item → enclosure mirror for unplaced items.
 const NO_HOME: u16 = u16::MAX;
 
+/// Item ids must be below this cap. The harness keeps dense per-id
+/// tables, so an id sizes allocations: 2²⁴ ids is 16× the million
+/// volumes the cloud-block generator targets, and the same bound the
+/// checkpoint decoder puts on a length it reads.
+pub(crate) const ITEM_ID_CAP: u32 = 1 << 24;
+
 /// One data item as the harness needs it: identity, footprint, initial
 /// home, and access hint. (A projection of richer catalogs such as
 /// `ees_workloads::DataItemSpec`.)
@@ -38,6 +44,13 @@ pub struct CatalogItem {
 /// ([`StreamHarness::check_catalog`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CatalogError {
+    /// An item id is at or past the cap on ids (2²⁴).
+    IdTooLarge {
+        /// The largest offending id.
+        item: DataItemId,
+        /// The cap it breaks.
+        cap: u32,
+    },
     /// Two catalog entries share an id.
     DuplicateId {
         /// The repeated id.
@@ -69,6 +82,13 @@ pub enum CatalogError {
 impl std::fmt::Display for CatalogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
+            CatalogError::IdTooLarge { item, cap } => {
+                write!(
+                    f,
+                    "item id {} is too large (ids must be below {cap})",
+                    item.0
+                )
+            }
             CatalogError::DuplicateId { item } => {
                 write!(f, "item {} appears more than once", item.0)
             }
@@ -140,11 +160,11 @@ pub struct StreamHarness {
 
 impl StreamHarness {
     /// Checks that [`new`](Self::new) can place `items` on a unit of
-    /// `num_enclosures` enclosures from `cfg`: ids are unique, every home
-    /// is one of the unit's enclosures, and each enclosure's items fit
-    /// its capacity. Run it on catalogs from outside the program (items
-    /// files, checkpointed placements) before building the harness,
-    /// which panics on them.
+    /// `num_enclosures` enclosures from `cfg`: ids are below 2²⁴ and
+    /// unique, every home is one of the unit's enclosures, and each
+    /// enclosure's items fit its capacity. Run it on catalogs from
+    /// outside the program (items files, checkpointed placements) before
+    /// building the harness, which panics on them.
     pub fn check_catalog(
         items: &[CatalogItem],
         num_enclosures: u16,
@@ -152,6 +172,12 @@ impl StreamHarness {
     ) -> Result<(), CatalogError> {
         let mut ids: Vec<u32> = items.iter().map(|i| i.id.0).collect();
         ids.sort_unstable();
+        if let Some(&max) = ids.last().filter(|&&max| max >= ITEM_ID_CAP) {
+            return Err(CatalogError::IdTooLarge {
+                item: DataItemId(max),
+                cap: ITEM_ID_CAP,
+            });
+        }
         if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
             return Err(CatalogError::DuplicateId {
                 item: DataItemId(w[0]),
@@ -495,5 +521,41 @@ impl StreamHarness {
         let final_flush = self.controller.cache_mut().flush_all();
         self.run_flush(end, final_flush);
         self.controller.finish(end);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_catalog_caps_item_ids() {
+        let cfg = StorageConfig::ams2500(1);
+        let catalog = |id: u32| {
+            [0, id].map(|id| CatalogItem {
+                id: DataItemId(id),
+                size: 1 << 20,
+                enclosure: EnclosureId(0),
+                access: Access::Random,
+            })
+        };
+        assert_eq!(
+            StreamHarness::check_catalog(&catalog(ITEM_ID_CAP - 1), 1, &cfg),
+            Ok(())
+        );
+        for id in [ITEM_ID_CAP, u32::MAX] {
+            let err = StreamHarness::check_catalog(&catalog(id), 1, &cfg).unwrap_err();
+            assert_eq!(
+                err,
+                CatalogError::IdTooLarge {
+                    item: DataItemId(id),
+                    cap: ITEM_ID_CAP
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("item id {id} is too large (ids must be below 16777216)")
+            );
+        }
     }
 }

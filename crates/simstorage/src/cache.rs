@@ -16,12 +16,11 @@
 //! ACID guarantee while delaying physical writes (§II.E.2).
 
 use ees_iotrace::{DataItemId, Micros, MIB};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 
 /// Cache geometry and behaviour parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Total cache size (Table II: 2 GB).
     pub total_bytes: u64,

@@ -2,10 +2,9 @@
 
 use crate::cache::CacheConfig;
 use crate::enclosure::EnclosureConfig;
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of a simulated storage unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageConfig {
     /// Number of disk enclosures (the test bed has 10; the File Server
     /// experiment spreads 36 volumes over 12 — workloads pick their count).
@@ -46,18 +45,8 @@ mod tests {
             c.enclosure.spin_down_timeout,
             c.enclosure.power.break_even_time()
         );
-        let be = c.enclosure.spin_down_timeout.as_secs_f64();
-        assert!((be - 52.0).abs() < 0.05, "break-even {be} ≈ 52 s");
+        assert_eq!(c.enclosure.spin_down_timeout, Micros(52_000_000));
         assert_eq!(c.cache.total_bytes, 2048 * 1024 * 1024);
         assert_eq!(c.cache.dirty_block_rate, 0.5);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = StorageConfig::ams2500(12);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: StorageConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-        assert_eq!(back.enclosure.spin_down_timeout, Micros(52_000_000));
     }
 }

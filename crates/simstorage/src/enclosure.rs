@@ -14,10 +14,9 @@
 use crate::hdd::{Access, ServiceModel};
 use crate::power::{EnclosurePowerModel, EnergyMeter, PowerMode};
 use ees_iotrace::{EnclosureId, IoKind, Micros};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of one enclosure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnclosureConfig {
     /// Usable volume capacity (Table II: 1.7 TB of volumes per enclosure).
     pub capacity_bytes: u64,
@@ -71,7 +70,7 @@ pub struct IoOutcome {
 }
 
 /// Cumulative counters of one enclosure over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnclosureStats {
     /// I/Os served.
     pub ios: u64,

@@ -9,13 +9,12 @@
 //! [`ServiceModel`] is what the simulator actually evaluates per request.
 
 use ees_iotrace::{IoKind, Micros};
-use serde::{Deserialize, Serialize};
 
 /// Whether a request falls in a sequential run or requires a seek.
 ///
 /// The workload generators know this (TPC-C issues random I/O, TPC-H
 /// sequential scans — paper §I), so physical requests carry the hint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
     /// Random access: pays seek + rotational latency.
     Random,
@@ -24,7 +23,7 @@ pub enum Access {
 }
 
 /// Geometry of a single HDD, used to derive service-model constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HddModel {
     /// Average seek time.
     pub avg_seek: Micros,
@@ -71,7 +70,7 @@ impl HddModel {
 /// writes by the parity read-modify-write penalty. Its **latency** (added
 /// to the response but pipelined across the 15 spindles, so not occupying
 /// the server) is the geometric access time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceModel {
     /// Sustained random IOPS of the enclosure (Table II: 900).
     pub max_random_iops: f64,

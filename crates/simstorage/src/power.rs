@@ -18,10 +18,9 @@
 //! paper measured on its Hitachi AMS 2500 test bed (Table II).
 
 use ees_iotrace::Micros;
-use serde::{Deserialize, Serialize};
 
 /// Externally visible power mode of a disk enclosure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerMode {
     /// Powered on and executing I/O; the highest-draw mode.
     Active,
@@ -35,7 +34,7 @@ pub enum PowerMode {
 
 /// Per-state power draw and spin-up characteristics of one disk enclosure
 /// (15 × 7200 rpm SATA HDD, RAID-6, fans and PSU included).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnclosurePowerModel {
     /// Draw while executing I/O, in watts.
     pub active_watts: f64,
@@ -119,7 +118,7 @@ impl Default for EnclosurePowerModel {
 /// single mode; the meter accumulates exact `watts × seconds` per mode.
 /// This is the simulator's substitute for the physical power meter the
 /// paper attached to its storage unit (§VII.A.3).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyMeter {
     /// Total energy, joules.
     joules: f64,

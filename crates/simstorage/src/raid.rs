@@ -8,10 +8,9 @@
 //! abstracts.
 
 use crate::hdd::HddModel;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a RAID-6 array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Raid6Geometry {
     /// Total disks in the array (data + 2 parity).
     pub disks: u16,

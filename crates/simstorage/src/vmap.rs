@@ -11,11 +11,10 @@
 //! enclosure address for every byte without tracking real extents.
 
 use ees_iotrace::{DataItemId, EnclosureId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Where one data item lives and how big it is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ItemPlacement {
     /// The enclosure holding the item.
     pub enclosure: EnclosureId,
@@ -24,7 +23,7 @@ pub struct ItemPlacement {
 }
 
 /// Data-item → enclosure mapping.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlacementMap {
     map: BTreeMap<DataItemId, ItemPlacement>,
 }

@@ -4,8 +4,7 @@
 
 use ees_iotrace::{EnclosureId, IoKind, Micros};
 use ees_simstorage::{Access, DiskEnclosure, EnclosureConfig};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use ees_workloads::SplitMix64;
 
 /// Measures the mean queueing delay (response − occupancy − latency) for
 /// Poisson read arrivals at utilization `rho`.
@@ -16,7 +15,7 @@ fn measured_wait(rho: f64, seed: u64) -> f64 {
     let lambda = rho / service;
     let latency = cfg.service.latency(Access::Random).as_secs_f64();
 
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut t = 0.0f64;
     let mut total_wait = 0.0f64;
     let n = 200_000;

@@ -31,13 +31,12 @@
 
 use crate::gen::{exp_duration, log_uniform_size, random_offset};
 use crate::nurand::WeightedPick;
+use crate::rng::{mix, SplitMix64};
 use crate::spec::{DataItemSpec, ItemKind, Workload};
 use ees_iotrace::{
     DataItemId, EnclosureId, IoKind, LogicalIoRecord, LogicalTrace, Micros, VolumeId, GIB, MIB,
 };
 use ees_simstorage::Access;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -160,11 +159,8 @@ impl Model {
 /// Splitmix64-style per-volume seed derivation: volume streams are
 /// independent of each other and of the volume count.
 fn volume_seed(seed: u64, vol: u32) -> u64 {
-    let mut z = (seed ^ 0xC10D_B10C_0000_0000)
-        .wrapping_add((vol as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix((seed ^ 0xC10D_B10C_0000_0000)
+        .wrapping_add((vol as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// The day/week rate envelope for a tenant at time `t`, in
@@ -185,7 +181,7 @@ fn envelope_max(p: &CloudBlockParams) -> f64 {
 /// One volume's deterministic event stream (strictly increasing
 /// timestamps) plus its catalog entry.
 struct VolumeGen {
-    rng: SmallRng,
+    rng: SplitMix64,
     spec: DataItemSpec,
     tenant: u32,
     read_ratio: f64,
@@ -200,7 +196,7 @@ struct VolumeGen {
 impl VolumeGen {
     fn new(seed: u64, vol: u32, model: &Model) -> Self {
         let p = &model.params;
-        let mut rng = SmallRng::seed_from_u64(volume_seed(seed, vol));
+        let mut rng = SplitMix64::new(volume_seed(seed, vol));
         let tenant = model.tenants.pick(&mut rng) as u32;
         // Heavy-tailed per-volume intensity: a 25x spread of "heat".
         let heat = (log_uniform_size(&mut rng, 2_000, 50_000) as f64) / 10_000.0;

@@ -18,14 +18,13 @@
 //!   P1 population (61.5 %).
 
 use crate::gen::exp_duration;
+use crate::rng::SplitMix64;
 use crate::spec::{DataItemSpec, ItemKind, Workload};
 use ees_iotrace::{
     DataItemId, EnclosureId, IoKind, LogicalIoRecord, LogicalTrace, Micros, Span, VolumeId, GIB,
     MIB,
 };
 use ees_simstorage::Access;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Tunables of the DSS generator. Defaults follow Table I.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,7 +139,7 @@ pub struct QueryWindow {
 
 /// Generates the DSS workload together with its query schedule.
 pub fn generate_with_schedule(seed: u64, params: &DssParams) -> (Workload, Vec<QueryWindow>) {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x0D55_0D55);
+    let mut rng = SplitMix64::new(seed ^ 0x0D55_0D55);
     let duration = params.duration;
     let num_enclosures = params.db_enclosures + 1;
 

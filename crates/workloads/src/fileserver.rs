@@ -20,13 +20,12 @@
 //!   P2 sliver.
 
 use crate::gen::{exp_duration, log_uniform_size, random_offset, uniform_duration};
+use crate::rng::SplitMix64;
 use crate::spec::{DataItemSpec, ItemKind, Workload};
 use ees_iotrace::{
     DataItemId, EnclosureId, IoKind, LogicalIoRecord, LogicalTrace, Micros, VolumeId, GIB, MIB,
 };
 use ees_simstorage::Access;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Tunables of the File Server generator. Defaults follow Table I.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,7 +78,7 @@ impl FileServerParams {
 
 /// Generates the File Server workload.
 pub fn generate(seed: u64, params: &FileServerParams) -> Workload {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xF11E_5E4E);
+    let mut rng = SplitMix64::new(seed ^ 0xF11E_5E4E);
     let duration = params.duration;
     let vols_per_enc =
         (params.num_volumes as usize).div_ceil(params.num_enclosures as usize) as u16;
@@ -176,7 +175,7 @@ impl Role {
 }
 
 /// Active windows of a volume as `(start, end)` spans.
-fn volume_schedule(rng: &mut SmallRng, duration: Micros) -> Vec<(Micros, Micros)> {
+fn volume_schedule(rng: &mut SplitMix64, duration: Micros) -> Vec<(Micros, Micros)> {
     let mut windows = Vec::new();
     // Random initial phase: some volumes start mid-quiet.
     let mut t = if rng.gen_bool(0.3) {
@@ -196,7 +195,7 @@ fn volume_schedule(rng: &mut SmallRng, duration: Micros) -> Vec<(Micros, Micros)
 
 /// The always-hot item: Poisson arrivals at high rate, 85 % reads.
 fn gen_hot(
-    rng: &mut SmallRng,
+    rng: &mut SplitMix64,
     id: DataItemId,
     size: u64,
     duration: Micros,
@@ -227,7 +226,7 @@ fn gen_hot(
 /// A regular file group: read bursts in active windows, write trickle in
 /// quiet windows.
 fn gen_read_bursty(
-    rng: &mut SmallRng,
+    rng: &mut SplitMix64,
     id: DataItemId,
     size: u64,
     schedule: &[(Micros, Micros)],
@@ -291,7 +290,7 @@ fn gen_read_bursty(
 
 /// A backup-target-like item: write bursts separated by long gaps.
 fn gen_write_bursty(
-    rng: &mut SmallRng,
+    rng: &mut SplitMix64,
     id: DataItemId,
     size: u64,
     duration: Micros,

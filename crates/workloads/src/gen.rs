@@ -1,20 +1,20 @@
 //! Shared sampling helpers for the seeded workload generators.
 //!
-//! Only inverse-transform sampling on top of `rand`'s uniform source is
-//! used, so the generators stay deterministic under a fixed seed and need
-//! no extra distribution crates.
+//! Only inverse-transform sampling on top of [`SplitMix64`]'s uniform
+//! draws is used, so the generators stay deterministic under a fixed seed
+//! and need no distribution crates.
 
+use crate::rng::SplitMix64;
 use ees_iotrace::Micros;
-use rand::Rng;
 
 /// Samples an exponential inter-arrival time with the given mean.
-pub fn exp_duration<R: Rng>(rng: &mut R, mean: Micros) -> Micros {
+pub fn exp_duration(rng: &mut SplitMix64, mean: Micros) -> Micros {
     let u: f64 = rng.gen_range(1e-12..1.0);
     Micros::from_secs_f64(-mean.as_secs_f64() * u.ln())
 }
 
 /// Samples a uniform duration in `[lo, hi)`.
-pub fn uniform_duration<R: Rng>(rng: &mut R, lo: Micros, hi: Micros) -> Micros {
+pub fn uniform_duration(rng: &mut SplitMix64, lo: Micros, hi: Micros) -> Micros {
     debug_assert!(lo < hi);
     Micros(rng.gen_range(lo.0..hi.0))
 }
@@ -22,7 +22,7 @@ pub fn uniform_duration<R: Rng>(rng: &mut R, lo: Micros, hi: Micros) -> Micros {
 /// Samples a size from a coarse log-uniform distribution in `[lo, hi)`
 /// bytes — a serviceable stand-in for the heavy-tailed file/table size
 /// distributions of real systems.
-pub fn log_uniform_size<R: Rng>(rng: &mut R, lo: u64, hi: u64) -> u64 {
+pub fn log_uniform_size(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
     debug_assert!(lo > 0 && lo < hi);
     let (llo, lhi) = ((lo as f64).ln(), (hi as f64).ln());
     (rng.gen_range(llo..lhi)).exp() as u64
@@ -35,7 +35,7 @@ pub fn block_align(offset: u64) -> u64 {
 
 /// Samples a block-aligned offset within an item of `size` bytes that can
 /// still fit a request of `len` bytes.
-pub fn random_offset<R: Rng>(rng: &mut R, size: u64, len: u32) -> u64 {
+pub fn random_offset(rng: &mut SplitMix64, size: u64, len: u32) -> u64 {
     let max = size.saturating_sub(len as u64);
     if max == 0 {
         0
@@ -47,12 +47,10 @@ pub fn random_offset<R: Rng>(rng: &mut R, size: u64, len: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn exp_duration_has_roughly_the_right_mean() {
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let mean = Micros::from_secs(10);
         let n = 20_000;
         let total: f64 = (0..n)
@@ -64,7 +62,7 @@ mod tests {
 
     #[test]
     fn uniform_duration_in_range() {
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         for _ in 0..1000 {
             let d = uniform_duration(&mut rng, Micros(10), Micros(20));
             assert!(d.0 >= 10 && d.0 < 20);
@@ -73,7 +71,7 @@ mod tests {
 
     #[test]
     fn log_uniform_spans_orders_of_magnitude() {
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let mut small = 0;
         let mut large = 0;
         for _ in 0..2000 {
@@ -92,7 +90,7 @@ mod tests {
 
     #[test]
     fn offsets_are_block_aligned_and_in_bounds() {
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         for _ in 0..1000 {
             let off = random_offset(&mut rng, 1 << 20, 65536);
             assert_eq!(off % 4096, 0);
@@ -104,13 +102,13 @@ mod tests {
     #[test]
     fn determinism_under_fixed_seed() {
         let a: Vec<u64> = {
-            let mut rng = SmallRng::seed_from_u64(42);
+            let mut rng = SplitMix64::new(42);
             (0..10)
                 .map(|_| exp_duration(&mut rng, Micros(1000)).0)
                 .collect()
         };
         let b: Vec<u64> = {
-            let mut rng = SmallRng::seed_from_u64(42);
+            let mut rng = SplitMix64::new(42);
             (0..10)
                 .map(|_| exp_duration(&mut rng, Micros(1000)).0)
                 .collect()

@@ -29,6 +29,7 @@ pub mod mix;
 pub mod msr;
 pub mod nurand;
 pub mod oltp;
+pub mod rng;
 pub mod spec;
 
 pub use cloudblock::{CloudBlockParams, CloudBlockStream};
@@ -38,4 +39,5 @@ pub use mix::colocate;
 pub use msr::{import as import_msr, MsrImportError, MsrImportOptions};
 pub use nurand::{NuRand, WeightedPick};
 pub use oltp::OltpParams;
+pub use rng::SplitMix64;
 pub use spec::{items_from_json, items_to_json, DataItemSpec, ItemKind, Workload};

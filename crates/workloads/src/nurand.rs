@@ -8,7 +8,7 @@
 //! exist inside each data item, exactly as a real TPC-C's hot warehouses
 //! produce.
 
-use rand::Rng;
+use crate::rng::SplitMix64;
 
 /// The NURand constant-`A` family per TPC-C: 255 for customer last names,
 /// 1023 for customer ids, 8191 for item ids.
@@ -22,7 +22,7 @@ pub struct NuRand {
 
 impl NuRand {
     /// Creates a NURand source with the given `A`, drawing `C` from `rng`.
-    pub fn new<R: Rng>(a: u64, rng: &mut R) -> Self {
+    pub fn new(a: u64, rng: &mut SplitMix64) -> Self {
         NuRand {
             a,
             c: rng.gen_range(0..=a),
@@ -30,7 +30,7 @@ impl NuRand {
     }
 
     /// Draws a non-uniform random value in `[x, y]`.
-    pub fn next<R: Rng>(&self, rng: &mut R, x: u64, y: u64) -> u64 {
+    pub fn next(&self, rng: &mut SplitMix64, x: u64, y: u64) -> u64 {
         debug_assert!(x <= y);
         let span = y - x + 1;
         let r1 = rng.gen_range(0..=self.a);
@@ -63,7 +63,7 @@ impl WeightedPick {
     }
 
     /// Draws a bucket index with probability proportional to its weight.
-    pub fn pick<R: Rng>(&self, rng: &mut R) -> usize {
+    pub fn pick(&self, rng: &mut SplitMix64) -> usize {
         let total = *self.cumulative.last().unwrap();
         let x = rng.gen_range(0.0..total);
         self.cumulative.partition_point(|&c| c <= x)
@@ -83,12 +83,10 @@ impl WeightedPick {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn nurand_stays_in_range() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         let nu = NuRand::new(1023, &mut rng);
         for _ in 0..10_000 {
             let v = nu.next(&mut rng, 1, 3000);
@@ -101,7 +99,7 @@ mod tests {
         // The OR with random(0, A) concentrates mass on values whose low
         // bits are set; the top decile must be visited far more often
         // than uniform would visit it.
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = SplitMix64::new(2);
         let nu = NuRand::new(255, &mut rng);
         let n = 100_000;
         let mut counts = vec![0u32; 1000];
@@ -118,7 +116,7 @@ mod tests {
 
     #[test]
     fn weighted_pick_matches_weights() {
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = SplitMix64::new(3);
         let w = WeightedPick::new(&[0.7, 0.2, 0.1]);
         assert_eq!(w.len(), 3);
         let n = 100_000;
@@ -133,7 +131,7 @@ mod tests {
 
     #[test]
     fn weighted_pick_handles_zero_weights() {
-        let mut rng = SmallRng::seed_from_u64(4);
+        let mut rng = SplitMix64::new(4);
         let w = WeightedPick::new(&[0.0, 1.0, 0.0]);
         for _ in 0..100 {
             assert_eq!(w.pick(&mut rng), 1);

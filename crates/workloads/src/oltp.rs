@@ -24,13 +24,12 @@
 
 use crate::gen::{block_align, exp_duration, random_offset};
 use crate::nurand::NuRand;
+use crate::rng::SplitMix64;
 use crate::spec::{DataItemSpec, ItemKind, Workload};
 use ees_iotrace::{
     DataItemId, EnclosureId, IoKind, LogicalIoRecord, LogicalTrace, Micros, VolumeId, GIB, MIB,
 };
 use ees_simstorage::Access;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Tunables of the OLTP generator. Defaults follow Table I.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,7 +88,7 @@ const FAMILIES: &[(&str, u64, f64, f64, ItemKind)] = &[
 
 /// Generates the OLTP workload.
 pub fn generate(seed: u64, params: &OltpParams) -> Workload {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x0717_C0C0);
+    let mut rng = SplitMix64::new(seed ^ 0x0717_C0C0);
     let duration = params.duration;
     let num_enclosures = params.db_enclosures + 1;
 

@@ -3,12 +3,11 @@
 use ees_iotrace::ndjson::{json_escape, parse_flat_object, split_array_of_objects};
 use ees_iotrace::{DataItemId, EnclosureId, LogicalTrace, VolumeId};
 use ees_simstorage::{Access, PlacementMap};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What kind of application data an item holds — determines the access
 /// hint and helps reports stay readable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ItemKind {
     /// A file-server file group.
     File,
@@ -23,7 +22,7 @@ pub enum ItemKind {
 }
 
 /// Static description of one data item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataItemSpec {
     /// The item's identifier.
     pub id: DataItemId,
@@ -65,9 +64,9 @@ impl ItemKind {
 }
 
 /// Serializes an item catalog as a JSON array of flat objects, one item
-/// per line. Field names and values match the `serde` layout of
-/// [`DataItemSpec`], so catalogs written by earlier tool versions parse
-/// back with [`items_from_json`].
+/// per line. Field names and order follow [`DataItemSpec`], the layout
+/// earlier tool versions wrote too, so their catalogs parse back with
+/// [`items_from_json`].
 pub fn items_to_json(items: &[DataItemSpec]) -> String {
     let mut out = String::from("[\n");
     for (i, item) in items.iter().enumerate() {
