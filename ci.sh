@@ -31,12 +31,13 @@ echo "== cargo test (forced-SWAR scan kernels) =="
 # pass byte-for-byte with the fallback kernels selected.
 EES_SCAN_ISA=swar cargo test -p ees-iotrace -q
 
-echo "== cargo test --release (simulator and replay arithmetic) =="
+echo "== cargo test --release (core, simulator and replay arithmetic) =="
 # Release builds wrap integer overflow and compile out debug_assert!, so
 # the storage simulator's index arithmetic (masked wrapping_sub probe
-# distances, u32 slot ids) and the replay harness on top of it also run
+# distances, u32 slot ids), the replay harness on top of it, and the
+# planner's id-indexed period close (with the core proptests) also run
 # under the release profile.
-cargo test --release -q -p ees-simstorage -p ees-replay
+cargo test --release -q -p ees-core -p ees-simstorage -p ees-replay
 
 echo "== cargo build --release =="
 cargo build --release --workspace

@@ -26,7 +26,11 @@ pub struct ItemReport {
     pub pattern: LogicalIoPattern,
     /// Interval structure of the period.
     pub stats: ItemIntervalStats,
-    /// Per-second IOPS series (for `I_max`, §IV.C step 1).
+    /// Per-second IOPS series over the period. Only P3 reports carry one:
+    /// a P3 item gets one bucket per started second of the period, every
+    /// other pattern an empty `buckets`. `I_max` (§IV.C step 1), the peak
+    /// of the summed P3 series, is the series' only reader, so building
+    /// and shipping one per placed item would be pure period-close cost.
     pub iops: IopsSeries,
     /// Whether the Storage Monitor observed this item streaming
     /// sequentially. A sequential request occupies the enclosure for a
@@ -68,11 +72,6 @@ impl ItemReport {
         }
     }
 
-    /// Peak one-second IOPS over the period.
-    pub fn max_iops(&self) -> u32 {
-        self.iops.max()
-    }
-
     /// Read I/Os per byte of item size — the preload ranking key (§IV.F).
     pub fn reads_per_byte(&self) -> f64 {
         if self.size == 0 {
@@ -108,12 +107,20 @@ pub fn analyze_snapshot(snapshot: &MonitorSnapshot<'_>) -> Vec<ItemReport> {
         .map(|(id, placement)| {
             let ios = by_item.get(id).unwrap_or(&empty);
             let stats = analyze_item_period(id, ios, snapshot.period, snapshot.break_even);
-            let iops = IopsSeries::from_timestamps(ios.iter().map(|r| r.ts), snapshot.period);
+            let pattern = classify(&stats);
+            let iops = if pattern == LogicalIoPattern::P3 {
+                IopsSeries::from_timestamps(ios.iter().map(|r| r.ts), snapshot.period)
+            } else {
+                IopsSeries {
+                    start: snapshot.period.start,
+                    buckets: Vec::new(),
+                }
+            };
             ItemReport {
                 id,
                 enclosure: placement.enclosure,
                 size: placement.size,
-                pattern: classify(&stats),
+                pattern,
                 stats,
                 iops,
                 sequential: snapshot.sequential.contains(&id),
@@ -262,7 +269,7 @@ mod tests {
         let r = &reports[0];
         assert_eq!(r.pattern, LogicalIoPattern::P1);
         assert!((r.reads_per_byte() - 3.0 / 1000.0).abs() < 1e-12);
-        assert_eq!(r.max_iops(), 2);
+        assert!(r.iops.buckets.is_empty(), "only P3 reports carry a series");
         assert!((r.avg_iops() - 3.0 / 520.0).abs() < 1e-12);
     }
 

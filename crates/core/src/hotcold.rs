@@ -97,14 +97,10 @@ pub fn split_hot_cold(
     }
 }
 
-/// One-call hot/cold determination from the period's reports
-/// (steps 1–3 of §IV.C).
-pub fn determine_hot_cold(
-    reports: &[ItemReport],
-    enclosures: &[EnclosureView],
-    period_start: Micros,
-) -> (HotColdSplit, usize) {
-    let i_max = p3_peak_iops(reports, period_start);
+/// `I_max` and `N_hot` of §IV.C steps 1–2 from the period's reports: one
+/// pass over the P3 series, which the planner takes once per plan.
+pub(crate) fn hot_demand(reports: &[ItemReport], enclosures: &[EnclosureView]) -> (f64, usize) {
+    let i_max = p3_peak_iops(reports, Micros::ZERO);
     let p3_bytes: u64 = reports
         .iter()
         .filter(|r| r.is_placement_p3())
@@ -115,7 +111,17 @@ pub fn determine_hot_cold(
         .first()
         .map(|e| (e.max_iops, e.capacity))
         .unwrap_or((1.0, 1));
-    let n = n_hot(i_max, p3_bytes, o, s);
+    (i_max, n_hot(i_max, p3_bytes, o, s))
+}
+
+/// One-call hot/cold determination from the period's reports
+/// (steps 1–3 of §IV.C).
+pub fn determine_hot_cold(
+    reports: &[ItemReport],
+    enclosures: &[EnclosureView],
+    _period_start: Micros,
+) -> (HotColdSplit, usize) {
+    let (_, n) = hot_demand(reports, enclosures);
     (split_hot_cold(reports, enclosures, n), n)
 }
 

@@ -19,8 +19,7 @@
 
 use crate::analysis::ItemReport;
 use crate::pattern::{LogicalIoPattern, PatternMix};
-use ees_iotrace::{DataItemId, Span};
-use std::collections::BTreeMap;
+use ees_iotrace::{DataItemId, DenseItemMap, Span};
 
 /// One monitoring period's classification summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,8 +49,8 @@ const DEFAULT_RETENTION_PERIODS: usize = 8;
 pub const DEFAULT_PERIOD_CAP: usize = 65_536;
 
 /// Checkpointable snapshot of a [`MonitorHistory`]: the same data with
-/// the map flattened to a sorted vector so the hand-rolled checkpoint
-/// codec can stream it without caring about map internals.
+/// the per-item map flattened to a sorted vector so the hand-rolled
+/// checkpoint codec can stream it without caring about map internals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorHistoryState {
     /// Retained period records, oldest first.
@@ -81,8 +80,10 @@ pub struct MonitorHistory {
     buf: Vec<PeriodRecord>,
     start: usize,
     /// Latest classification per item, tagged with the absolute index of
-    /// the period that last reported it (for retention pruning).
-    last_pattern: BTreeMap<DataItemId, (LogicalIoPattern, u64)>,
+    /// the period that last reported it (for retention pruning). Indexed
+    /// by id, so recording a period costs O(items) with no tree walk;
+    /// iteration is in ascending id order, as the export needs.
+    last_pattern: DenseItemMap<(LogicalIoPattern, u64)>,
     retention: usize,
     period_cap: usize,
     dropped: u64,
@@ -121,7 +122,7 @@ impl MonitorHistory {
         MonitorHistory {
             buf: Vec::new(),
             start: 0,
-            last_pattern: BTreeMap::new(),
+            last_pattern: DenseItemMap::new(),
             retention: retention.max(1),
             period_cap: period_cap.max(1),
             dropped: 0,
@@ -205,7 +206,7 @@ impl MonitorHistory {
     /// The most recent classification of each item still within the
     /// retention window.
     pub fn last_pattern(&self, item: DataItemId) -> Option<LogicalIoPattern> {
-        self.last_pattern.get(&item).map(|&(p, _)| p)
+        self.last_pattern.get(item).map(|&(p, _)| p)
     }
 
     /// Number of items currently remembered (bounded by the live item
@@ -221,7 +222,9 @@ impl MonitorHistory {
     /// endurance report's byte-identity property needs.
     pub fn footprint_bytes(&self) -> u64 {
         let period = std::mem::size_of::<PeriodRecord>() as u64;
-        // BTreeMap entry: key + value + per-entry node overhead estimate.
+        // Per-item entry: key + value + a fixed 16-byte overhead estimate,
+        // independent of the map's layout (the endurance baseline pins
+        // the figure).
         let entry = (std::mem::size_of::<DataItemId>()
             + std::mem::size_of::<(LogicalIoPattern, u64)>()
             + 16) as u64;
@@ -240,7 +243,7 @@ impl MonitorHistory {
             last_pattern: self
                 .last_pattern
                 .iter()
-                .map(|(&id, &(p, seen))| (id, p, seen))
+                .map(|(id, &(p, seen))| (id, p, seen))
                 .collect(),
             retention: self.retention,
             period_cap: self.period_cap,
@@ -256,11 +259,13 @@ impl MonitorHistory {
         MonitorHistory {
             buf: s.periods,
             start: 0,
-            last_pattern: s
-                .last_pattern
-                .into_iter()
-                .map(|(id, p, seen)| (id, (p, seen)))
-                .collect(),
+            last_pattern: {
+                let mut map = DenseItemMap::new();
+                for (id, p, seen) in s.last_pattern {
+                    map.insert(id, (p, seen));
+                }
+                map
+            },
             retention: s.retention.max(1),
             period_cap: s.period_cap.max(1),
             dropped: s.dropped,

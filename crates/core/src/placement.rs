@@ -11,7 +11,7 @@
 //! its space (§V.A migrates P0/P1/P2 items off hot enclosures first).
 
 use crate::analysis::ItemReport;
-use crate::hotcold::{determine_hot_cold, split_hot_cold, HotColdSplit};
+use crate::hotcold::{hot_demand, split_hot_cold, HotColdSplit};
 use ees_iotrace::{DataItemId, EnclosureId, Micros};
 use ees_policy::{EnclosureView, Migration};
 use std::collections::BTreeMap;
@@ -50,14 +50,16 @@ pub struct PlacementPlan {
 pub fn plan_placement(
     reports: &[ItemReport],
     enclosures: &[EnclosureView],
-    period_start: Micros,
+    _period_start: Micros,
 ) -> PlacementPlan {
-    plan_placement_with_floor(reports, enclosures, period_start, 0)
+    let (_, n_hot) = hot_demand(reports, enclosures);
+    plan_placement_with_floor(reports, enclosures, n_hot, 0)
 }
 
-/// Like [`plan_placement`] but with a lower bound on the hot-set size.
+/// Like [`plan_placement`], but from an `N_hot` the caller already
+/// computed (§IV.C step 2) and with a lower bound on the hot-set size.
 ///
-/// The policy uses this for **shrink hysteresis**: when the computed
+/// The policy uses the bound for **shrink hysteresis**: when the computed
 /// `N_hot` drops by exactly one between periods, demoting a hot enclosure
 /// would migrate its whole P3 load only to promote a fresh enclosure the
 /// next time the one-second peak wobbles back up. Passing the previous
@@ -66,12 +68,11 @@ pub fn plan_placement(
 pub fn plan_placement_with_floor(
     reports: &[ItemReport],
     enclosures: &[EnclosureView],
-    period_start: Micros,
+    n_hot: usize,
     min_n_hot: usize,
 ) -> PlacementPlan {
-    let (_, computed) = determine_hot_cold(reports, enclosures, period_start);
-    let mut n = computed.max(min_n_hot.min(enclosures.len()));
-    if computed == 0 {
+    let mut n = n_hot.max(min_n_hot.min(enclosures.len()));
+    if n_hot == 0 {
         // No P3 items at all: nothing needs a hot enclosure.
         n = 0;
     }

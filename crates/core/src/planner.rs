@@ -8,16 +8,15 @@
 //! up incrementally — so a batch replay and an online run that classify
 //! items identically also plan identically.
 
-use crate::analysis::{p3_peak_iops, ItemReport};
+use crate::analysis::ItemReport;
 use crate::cache_select::{select_preload, select_write_delay};
 use crate::config::ProposedConfig;
-use crate::hotcold::determine_hot_cold;
+use crate::hotcold::hot_demand;
 use crate::monitor::{MonitorHistory, MonitorHistoryState};
 use crate::period::next_period;
 use crate::placement::plan_placement_with_floor;
-use ees_iotrace::{DataItemId, EnclosureId, Micros, Span};
+use ees_iotrace::{DataItemId, DenseItemMap, EnclosureId, Micros, Span};
 use ees_policy::{EnclosureView, ManagementPlan};
-use std::collections::BTreeSet;
 
 /// A management plan plus the §V.D re-arm parameters derived with it.
 #[derive(Debug, Clone)]
@@ -140,10 +139,10 @@ impl Planner {
         // Step 1: logical I/O patterns (already classified into reports).
         self.history.record(period, reports);
 
-        // Steps 2–3: hot/cold and placement. The hot-set size is floored
-        // by the decayed running maximum of I_max (see `imax_smooth`).
-        let (_, computed) = determine_hot_cold(reports, enclosures, period.start);
-        let imax = p3_peak_iops(reports, period.start);
+        // Steps 2–3: hot/cold and placement. I_max and N_hot are computed
+        // once here; the hot-set size is floored by the decayed running
+        // maximum of I_max (see `imax_smooth`).
+        let (imax, computed) = hot_demand(reports, enclosures);
         // Wall-time decay (half-life ≈ 20 min): short, trigger-cut periods
         // must not bleed the running peak away faster than long ones.
         let dt = period.len().as_secs_f64();
@@ -161,7 +160,7 @@ impl Planner {
             .unwrap_or(1.0)
             .max(1.0);
         let floor = ((self.imax_smooth / o).ceil() as usize).max(computed);
-        let mut placement = plan_placement_with_floor(reports, enclosures, period.start, floor);
+        let mut placement = plan_placement_with_floor(reports, enclosures, computed, floor);
         if !self.cfg.enable_placement {
             // Ablation: keep the hot/cold split but move nothing.
             placement.migrations.clear();
@@ -181,16 +180,32 @@ impl Planner {
             );
         }
 
+        // One id → report index for every lookup below: reports cover
+        // each placed item once, so an item absent from it has left
+        // placement.
+        let mut index: DenseItemMap<usize> = DenseItemMap::new();
+        for (i, r) in reports.iter().enumerate() {
+            index.insert(r.id, i);
+        }
+
         // Cache selection must see the *post-migration* placement.
         for m in &placement.migrations {
-            if let Some(r) = reports.iter_mut().find(|r| r.id == m.item) {
-                r.enclosure = m.to;
+            if let Some(&i) = index.get(m.item) {
+                reports[i].enclosure = m.to;
             }
         }
 
         // Steps 4–5: write delay first, then preload (§IV.A ordering).
-        let cold: BTreeSet<EnclosureId> = split.cold.iter().copied().collect();
-        let is_cold = |e: EnclosureId| cold.contains(&e);
+        let width = enclosures
+            .iter()
+            .map(|e| usize::from(e.id.0) + 1)
+            .max()
+            .unwrap_or(0);
+        let mut cold = vec![false; width];
+        for e in &split.cold {
+            cold[usize::from(e.0)] = true;
+        }
+        let is_cold = |e: EnclosureId| cold.get(usize::from(e.0)).copied().unwrap_or(false);
         let mut write_delay = if self.cfg.enable_write_delay {
             select_write_delay(reports, is_cold, self.cfg.write_delay_budget)
         } else {
@@ -209,47 +224,56 @@ impl Planner {
         // classification flapping (P1 ↔ P0 ↔ P3) reshuffles the sets, and
         // every reshuffle is a bulk cache load that wakes a sleeping
         // enclosure — costing more than the preload ever saves.
-        let is_cold_resident = |id: DataItemId| {
-            reports
-                .iter()
-                .any(|r| r.id == id && cold.contains(&r.enclosure))
+        // Membership is a flag per report: both sets draw only from
+        // reported items.
+        let slot = |id: DataItemId| *index.get(id).expect("fresh picks come from the reports");
+        let cold_resident = |id: DataItemId| {
+            index
+                .get(id)
+                .copied()
+                .filter(|&i| is_cold(reports[i].enclosure))
         };
+        let mut taken = vec![false; reports.len()];
         let mut merged: Vec<(DataItemId, u64)> = Vec::new();
         let mut spent: u64 = 0;
         for &(id, size) in &self.last_preload {
-            if is_cold_resident(id) && spent + size <= self.cfg.preload_budget {
-                spent += size;
-                merged.push((id, size));
+            if let Some(i) = cold_resident(id) {
+                if spent + size <= self.cfg.preload_budget {
+                    spent += size;
+                    taken[i] = true;
+                    merged.push((id, size));
+                }
             }
         }
         for &(id, size) in &preload {
-            if merged.iter().any(|(m, _)| *m == id) {
+            let i = slot(id);
+            if taken[i] {
                 continue;
             }
             if spent + size <= self.cfg.preload_budget {
                 spent += size;
+                taken[i] = true;
                 merged.push((id, size));
             }
         }
         let preload = merged;
-        // Membership through a set: write-delay sets reach thousands of
-        // items (cloud-block), where a scan per retained item is
-        // quadratic. `write_delay` keeps its order.
-        let mut selected: BTreeSet<DataItemId> = write_delay.iter().copied().collect();
+        taken.fill(false);
+        for &id in &write_delay {
+            taken[slot(id)] = true;
+        }
         for &id in &self.last_write_delay {
-            if !selected.contains(&id) && is_cold_resident(id) {
-                selected.insert(id);
-                write_delay.push(id);
+            if let Some(i) = cold_resident(id) {
+                if !taken[i] {
+                    taken[i] = true;
+                    write_delay.push(id);
+                }
             }
         }
         self.last_preload = preload.clone();
         self.last_write_delay = write_delay.clone();
 
         // Step 6: power control — only cold enclosures may power off.
-        let power_off_eligible = enclosures
-            .iter()
-            .map(|e| (e.id, cold.contains(&e.id)))
-            .collect();
+        let power_off_eligible = enclosures.iter().map(|e| (e.id, is_cold(e.id))).collect();
 
         // Step 7: next monitoring period. Floored at the configured
         // initial period: observed Long Intervals are bounded above by the
@@ -263,15 +287,17 @@ impl Planner {
             self.cfg.max_period,
         );
 
+        let mut holds_p3 = vec![false; width];
+        for r in reports.iter().filter(|r| r.is_placement_p3()) {
+            if let Some(flag) = holds_p3.get_mut(usize::from(r.enclosure.0)) {
+                *flag = true;
+            }
+        }
         let hot_with_p3: Vec<EnclosureId> = split
             .hot
             .iter()
             .copied()
-            .filter(|&h| {
-                reports
-                    .iter()
-                    .any(|r| r.is_placement_p3() && r.enclosure == h)
-            })
+            .filter(|h| holds_p3[usize::from(h.0)])
             .collect();
 
         PlanOutcome {
@@ -287,5 +313,227 @@ impl Planner {
             hot_with_p3,
             cold_count: split.cold.len(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The §V.C retention rule, driven through two consecutive plans: the
+    //! first seeds the previous preload and write-delay sets, the second
+    //! shows which of them survive.
+
+    use super::*;
+    use crate::pattern::LogicalIoPattern;
+    use ees_iotrace::{IopsSeries, ItemIntervalStats};
+
+    const SECS: u64 = 100;
+
+    fn view(id: u16) -> EnclosureView {
+        EnclosureView {
+            id: EnclosureId(id),
+            capacity: 1_000_000,
+            used: 0,
+            max_iops: 900.0,
+            max_seq_iops: 2800.0,
+            served_ios: 0,
+            spin_ups: 0,
+        }
+    }
+
+    fn views() -> Vec<EnclosureView> {
+        (0..3).map(view).collect()
+    }
+
+    fn period(k: u64) -> Span {
+        Span {
+            start: Micros::from_secs(k * SECS),
+            end: Micros::from_secs((k + 1) * SECS),
+        }
+    }
+
+    /// A report in period `k`. P3 reports carry a flat series at their
+    /// average rate, which puts them over the placement floor; every
+    /// other report carries an empty series.
+    fn report(
+        k: u64,
+        item: u32,
+        enc: u16,
+        size: u64,
+        pattern: LogicalIoPattern,
+        reads: u64,
+        writes: u64,
+    ) -> ItemReport {
+        let span = period(k);
+        let buckets = if pattern == LogicalIoPattern::P3 {
+            vec![((reads + writes) / SECS) as u32; SECS as usize]
+        } else {
+            Vec::new()
+        };
+        ItemReport {
+            id: DataItemId(item),
+            enclosure: EnclosureId(enc),
+            size,
+            pattern,
+            stats: ItemIntervalStats {
+                item: DataItemId(item),
+                period: span,
+                long_intervals: Vec::new(),
+                sequences: Vec::new(),
+                reads,
+                writes,
+                bytes_read: reads * 4096,
+                bytes_written: writes * 4096,
+            },
+            iops: IopsSeries {
+                start: span.start,
+                buckets,
+            },
+            sequential: false,
+            seq_factor: 900.0 / 2800.0,
+        }
+    }
+
+    fn plan(planner: &mut Planner, k: u64, mut reports: Vec<ItemReport>) -> ManagementPlan {
+        planner
+            .plan(period(k), Micros::from_secs(52), &mut reports, &views())
+            .plan
+    }
+
+    #[test]
+    fn retained_preload_keeps_its_slot_ahead_of_a_better_fresh_pick() {
+        let mut planner = Planner::new(ProposedConfig {
+            preload_budget: 100,
+            ..ProposedConfig::default()
+        });
+        let first = plan(
+            &mut planner,
+            0,
+            vec![report(0, 1, 1, 100, LogicalIoPattern::P1, 10, 0)],
+        );
+        assert_eq!(first.preload, vec![(DataItemId(1), 100)]);
+        // Item 2 now reads ten times more per byte, so it ranks first
+        // among the fresh picks; the budget fits one of the two, and the
+        // previously preloaded item 1 (still cold-resident) keeps it.
+        let second = plan(
+            &mut planner,
+            1,
+            vec![
+                report(1, 1, 1, 100, LogicalIoPattern::P1, 10, 0),
+                report(1, 2, 2, 100, LogicalIoPattern::P1, 100, 0),
+            ],
+        );
+        assert_eq!(second.preload, vec![(DataItemId(1), 100)]);
+        assert_eq!(planner.export_state().last_preload, second.preload);
+    }
+
+    #[test]
+    fn quiet_write_delay_items_follow_the_fresh_picks_once_in_previous_order() {
+        let mut planner = Planner::new(ProposedConfig::default());
+        let first = plan(
+            &mut planner,
+            0,
+            vec![
+                report(0, 4, 1, 100, LogicalIoPattern::P2, 0, 1),
+                report(0, 5, 1, 100, LogicalIoPattern::P2, 0, 2),
+                report(0, 7, 2, 100, LogicalIoPattern::P2, 0, 3),
+            ],
+        );
+        assert_eq!(
+            first.write_delay,
+            vec![DataItemId(7), DataItemId(5), DataItemId(4)]
+        );
+        // Items 4 and 5 went quiet (P0); item 7 is picked again, behind
+        // the fresh item 6 that wrote more this period.
+        let second = plan(
+            &mut planner,
+            1,
+            vec![
+                report(1, 4, 1, 100, LogicalIoPattern::P0, 0, 0),
+                report(1, 5, 1, 100, LogicalIoPattern::P0, 0, 0),
+                report(1, 6, 2, 100, LogicalIoPattern::P2, 0, 8),
+                report(1, 7, 2, 100, LogicalIoPattern::P2, 0, 5),
+            ],
+        );
+        assert_eq!(
+            second.write_delay,
+            vec![DataItemId(6), DataItemId(7), DataItemId(5), DataItemId(4)]
+        );
+        assert_eq!(planner.export_state().last_write_delay, second.write_delay);
+    }
+
+    #[test]
+    fn items_now_on_a_hot_enclosure_leave_both_sets() {
+        let mut planner = Planner::new(ProposedConfig::default());
+        // No P3 load yet: every enclosure is cold, and every candidate
+        // is picked.
+        let first = plan(
+            &mut planner,
+            0,
+            vec![
+                report(0, 1, 1, 100, LogicalIoPattern::P1, 10, 0),
+                report(0, 2, 0, 100, LogicalIoPattern::P2, 0, 10),
+                report(0, 3, 1, 100, LogicalIoPattern::P2, 0, 20),
+                report(0, 4, 0, 100, LogicalIoPattern::P1, 20, 0),
+                report(0, 9, 0, 1000, LogicalIoPattern::P0, 0, 0),
+            ],
+        );
+        assert!(first.power_off_eligible.iter().all(|&(_, cold)| cold));
+        assert_eq!(
+            first.preload,
+            vec![(DataItemId(4), 100), (DataItemId(1), 100)]
+        );
+        assert_eq!(first.write_delay, vec![DataItemId(3), DataItemId(2)]);
+        // Item 9 turns P3 and makes enclosure 0 hot. Items 2 and 4 went
+        // quiet there; items 1 and 3 turn P3 on cold enclosure 1, and
+        // Algorithm 2 migrates them onto enclosure 0 in this same plan.
+        let second = plan(
+            &mut planner,
+            1,
+            vec![
+                report(1, 1, 1, 100, LogicalIoPattern::P3, 1000, 0),
+                report(1, 2, 0, 100, LogicalIoPattern::P0, 0, 0),
+                report(1, 3, 1, 100, LogicalIoPattern::P3, 0, 1000),
+                report(1, 4, 0, 100, LogicalIoPattern::P0, 0, 0),
+                report(1, 9, 0, 1000, LogicalIoPattern::P3, 1000, 0),
+            ],
+        );
+        assert!(second.power_off_eligible.contains(&(EnclosureId(0), false)));
+        let mut moved: Vec<(DataItemId, EnclosureId)> =
+            second.migrations.iter().map(|m| (m.item, m.to)).collect();
+        moved.sort();
+        assert_eq!(
+            moved,
+            vec![
+                (DataItemId(1), EnclosureId(0)),
+                (DataItemId(3), EnclosureId(0))
+            ]
+        );
+        assert!(second.preload.is_empty(), "{:?}", second.preload);
+        assert!(second.write_delay.is_empty(), "{:?}", second.write_delay);
+    }
+
+    #[test]
+    fn items_that_left_placement_leave_both_sets() {
+        let mut planner = Planner::new(ProposedConfig::default());
+        let first = plan(
+            &mut planner,
+            0,
+            vec![
+                report(0, 1, 1, 100, LogicalIoPattern::P1, 10, 0),
+                report(0, 2, 1, 100, LogicalIoPattern::P2, 0, 10),
+            ],
+        );
+        assert_eq!(first.preload, vec![(DataItemId(1), 100)]);
+        assert_eq!(first.write_delay, vec![DataItemId(2)]);
+        // Both items left the placement map: no report, no slot.
+        let second = plan(
+            &mut planner,
+            1,
+            vec![report(1, 3, 1, 100, LogicalIoPattern::P0, 0, 0)],
+        );
+        assert!(second.preload.is_empty());
+        assert!(second.write_delay.is_empty());
+        let state = planner.export_state();
+        assert!(state.last_preload.is_empty() && state.last_write_delay.is_empty());
     }
 }

@@ -234,6 +234,27 @@ impl<V> DenseItemMap<V> {
         v
     }
 
+    /// Keeps only the slots for which `keep` returns `true`, visiting
+    /// them in ascending id order.
+    pub fn retain(&mut self, mut keep: impl FnMut(DataItemId, &mut V) -> bool) {
+        for (i, slot) in self.dense.iter_mut().enumerate() {
+            if let Some(v) = slot {
+                if !keep(DataItemId(i as u32), v) {
+                    *slot = None;
+                    self.len -= 1;
+                }
+            }
+        }
+        let len = &mut self.len;
+        self.spill.retain(|&id, v| {
+            let kept = keep(DataItemId(id), v);
+            if !kept {
+                *len -= 1;
+            }
+            kept
+        });
+    }
+
     /// Drops every slot, keeping the dense vector's capacity for the
     /// next period.
     pub fn clear(&mut self) {
@@ -320,5 +341,31 @@ mod tests {
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.iter().count(), 0);
+    }
+
+    #[test]
+    fn retain_matches_btreemap_retain() {
+        let mut m: DenseItemMap<u32> = DenseItemMap::new();
+        let mut reference: BTreeMap<u32, u32> = BTreeMap::new();
+        for id in [0u32, 1, 4, 9, DENSE_ID_LIMIT, DENSE_ID_LIMIT + 3] {
+            m.insert(DataItemId(id), id);
+            reference.insert(id, id);
+        }
+        let mut seen = Vec::new();
+        m.retain(|id, v| {
+            seen.push(id.0);
+            *v += 1;
+            id.0 % 2 == 0
+        });
+        reference.retain(|&id, v| {
+            *v += 1;
+            id % 2 == 0
+        });
+        assert_eq!(seen, vec![0, 1, 4, 9, DENSE_ID_LIMIT, DENSE_ID_LIMIT + 3]);
+        assert_eq!(m.len(), reference.len());
+        let got: Vec<(u32, u32)> = m.iter().map(|(id, &v)| (id.0, v)).collect();
+        let want: Vec<(u32, u32)> = reference.iter().map(|(&id, &v)| (id, v)).collect();
+        assert_eq!(got, want);
+        assert_eq!(m.get(DataItemId(1)), None);
     }
 }

@@ -9,7 +9,7 @@
 //! [`ItemReport`]s — the equivalence the `equivalence` test suite
 //! proptest-enforces.
 
-use ees_core::{classify, ItemReport};
+use ees_core::{classify, ItemReport, LogicalIoPattern};
 use ees_iotrace::{
     DataItemId, DenseItemMap, IntervalBuilder, IntervalBuilderState, IopsSeries, LogicalIoRecord,
     Micros, Span,
@@ -180,41 +180,45 @@ impl IncrementalClassifier {
             .iter()
             .filter(|(id, _)| owned(*id))
             .map(|(id, pl)| {
-                let (stats, iops) = match self.items.remove(id) {
-                    Some(mut state) => {
-                        // The batch IOPS series has exactly n buckets and
-                        // drops records at `ts == end`; mirror both.
-                        state.buckets.resize(n, 0);
-                        if state.last_ts == end {
-                            let idx = ((end - period.start).0 / 1_000_000) as usize;
-                            if idx < n {
-                                state.buckets[idx] =
-                                    state.buckets[idx].saturating_sub(state.count_at_last_ts);
-                            }
-                        }
-                        (
-                            state.builder.finish(end),
-                            IopsSeries {
-                                start: period.start,
-                                buckets: state.buckets,
-                            },
-                        )
-                    }
+                let (stats, fold) = match self.items.remove(id) {
+                    Some(s) => (
+                        s.builder.finish(end),
+                        Some((s.buckets, s.last_ts, s.count_at_last_ts)),
+                    ),
                     None => (
                         IntervalBuilder::new(id, period.start, self.break_even).finish(end),
-                        IopsSeries {
-                            start: period.start,
-                            buckets: vec![0; n],
-                        },
+                        None,
                     ),
+                };
+                let pattern = classify(&stats);
+                // Only P3 reports carry a series (`ItemReport::iops`); a
+                // silent item is P0. The batch series has exactly n
+                // buckets and drops records at `ts == end`; mirror both.
+                let buckets = match fold {
+                    Some((mut buckets, last_ts, count_at_last_ts))
+                        if pattern == LogicalIoPattern::P3 =>
+                    {
+                        buckets.resize(n, 0);
+                        if last_ts == end {
+                            let idx = ((end - period.start).0 / 1_000_000) as usize;
+                            if idx < n {
+                                buckets[idx] = buckets[idx].saturating_sub(count_at_last_ts);
+                            }
+                        }
+                        buckets
+                    }
+                    _ => Vec::new(),
                 };
                 ItemReport {
                     id,
                     enclosure: pl.enclosure,
                     size: pl.size,
-                    pattern: classify(&stats),
+                    pattern,
                     stats,
-                    iops,
+                    iops: IopsSeries {
+                        start: period.start,
+                        buckets,
+                    },
                     sequential: sequential.contains(&id),
                     seq_factor,
                 }

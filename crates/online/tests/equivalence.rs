@@ -2,15 +2,19 @@
 //!
 //! * Property test: for arbitrary per-item I/O streams, the incremental
 //!   classifier emits the same P0–P3 labels, Long-Interval counts, and
-//!   read ratios as the batch analysis of the buffered period.
+//!   read ratios as the batch analysis of the buffered period, and both
+//!   give only P3 reports an IOPS series. The mid-period fold, which
+//!   checkpoints carry, still counts every item's per-second I/Os.
 //! * Plan-sequence test: the colocated daemon fed a workload's records
 //!   produces the same plans, period for period, as the batch replay
 //!   engine running [`EnergyEfficientPolicy`] over the same workload.
 //! * Determinism test: the same NDJSON stream ingested twice yields
 //!   identical plan sequences and summaries.
 
-use ees_core::{analyze_snapshot, EnergyEfficientPolicy, ProposedConfig};
-use ees_iotrace::{ndjson, DataItemId, IoKind, LogicalIoRecord, Micros, Span};
+use ees_core::{
+    analyze_snapshot, EnergyEfficientPolicy, ItemReport, LogicalIoPattern, ProposedConfig,
+};
+use ees_iotrace::{ndjson, DataItemId, IoKind, IopsSeries, LogicalIoRecord, Micros, Span};
 use ees_online::{
     spawn_reader_parallel, ColocatedDaemon, IncrementalClassifier, OverflowPolicy, PlanEnvelope,
     RolloverReason, ShardOptions,
@@ -52,6 +56,31 @@ fn arb_stream() -> impl Strategy<Value = Vec<LogicalIoRecord>> {
         recs.sort_by_key(|r| r.ts);
         recs
     })
+}
+
+/// The `ItemReport::iops` contract: a P3 report carries one bucket per
+/// started second of `period`, every other report an empty series.
+fn assert_series_shape(reports: &[ItemReport], period: Span, path: &str) {
+    let n = (period.len().0 as usize).div_ceil(1_000_000).max(1);
+    for r in reports {
+        assert_eq!(
+            r.iops.start, period.start,
+            "{path}: series start of item {}",
+            r.id
+        );
+        let want = if r.pattern == LogicalIoPattern::P3 {
+            n
+        } else {
+            0
+        };
+        assert_eq!(
+            r.iops.buckets.len(),
+            want,
+            "{path}: series length of {} item {}",
+            r.pattern,
+            r.id
+        );
+    }
 }
 
 proptest! {
@@ -98,6 +127,36 @@ proptest! {
                 "read ratio of item {}", a.id
             );
             prop_assert_eq!(&a.iops.buckets, &b.iops.buckets, "IOPS of item {}", a.id);
+        }
+        assert_series_shape(&ours, period, "incremental");
+        assert_series_shape(&batch, period, "batch");
+    }
+
+    /// Mid-period, the fold counts the per-second I/Os of every item,
+    /// whatever it will classify as: the exported buckets (what a
+    /// checkpoint carries) equal the series built from the same records.
+    #[test]
+    fn exported_fold_counts_every_items_ios(recs in arb_stream()) {
+        let mut inc = IncrementalClassifier::new(Micros::ZERO, BE);
+        for rec in &recs {
+            inc.observe(rec);
+        }
+        // One microsecond past the latest possible record, so the series
+        // keeps every record the fold has seen.
+        let open = Span { start: Micros::ZERO, end: Micros(200_000_001) };
+        let exported = inc.export_items();
+        for item in 0..4u32 {
+            let id = DataItemId(item);
+            let ts: Vec<Micros> = recs.iter().filter(|r| r.item == id).map(|r| r.ts).collect();
+            let Some(c) = exported.iter().find(|c| c.id == id) else {
+                prop_assert!(ts.is_empty(), "item {} observed but not exported", id);
+                continue;
+            };
+            let want = IopsSeries::from_timestamps(ts, open).buckets;
+            prop_assert!(c.buckets.len() <= want.len());
+            let mut got = c.buckets.clone();
+            got.resize(want.len(), 0);
+            prop_assert_eq!(got, want, "fold buckets of item {}", id);
         }
     }
 
@@ -146,6 +205,8 @@ proptest! {
                 prop_assert_eq!(&a.stats, &b.stats);
                 prop_assert_eq!(&a.iops.buckets, &b.iops.buckets);
             }
+            assert_series_shape(win, span, "incremental");
+            assert_series_shape(&batch, span, "batch");
         }
     }
 }
