@@ -600,8 +600,9 @@ fn online(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result
     // the already-folded prefix of the stream), then persist a fresh
     // checkpoint at every plan rollover and at end of stream.
     // `--queue`/`--batch` size both transports: the reader channel gets
-    // `queue` events in `batch`-record deliveries, and each shard's ring
-    // gets the matching depth in batches (at least double-buffered).
+    // `queue` events in `batch`-record deliveries, and each shard's
+    // channel gets the matching depth in batches (at least
+    // double-buffered).
     // `--readers 0` (the default) sizes the parse pool at one reader per
     // shard; `--readers 1` is a single parser thread.
     let mut shard_options = ShardOptions {
@@ -966,8 +967,8 @@ fn chaos(flags: &Flags, out: &mut dyn std::io::Write) -> Result<(), CliError> {
 }
 
 /// `ees endure`: the long-horizon endurance run (DESIGN.md §16) — an
-/// accelerated-clock Cloud Block workload streamed through the sharded
-/// controller for `--periods` monitoring periods, with checkpoint →
+/// accelerated-clock Cloud Block workload streamed through the daemon
+/// for `--periods` monitoring periods, with checkpoint →
 /// restore cycles every `--restore-every` periods and `--panics` seeded
 /// worker panics, against a no-management baseline for per-period energy
 /// savings. `--drift-bar X` turns the drift statistic into a gate: exit

@@ -4,17 +4,17 @@
 //! seed:
 //!
 //! 1. generate a synthetic workload (strictly increasing timestamps —
-//!    the [`Sanitizer`]'s contract), render it to NDJSON, and drive it
-//!    through the serial oracle [`run_monitor_serial`] → the
+//!    the [`Sanitizer`]'s contract) and step it through a fault-free
+//!    1-shard [`ColocatedDaemon`] (the in-thread controller) → the
 //!    **baseline** plan sequence;
 //! 2. drive the *same* workload, serialized to NDJSON, through the full
 //!    hardened path: a [`FaultyReader`] injecting malformed/truncated
 //!    lines, duplicates, transpositions, and reader stalls; a
 //!    [`RetryingReader`] absorbing the stalls; the [`Sanitizer`]
-//!    repairing order; a [`ShardedController`] whose workers panic on a
-//!    seeded [`PanicSchedule`] and get respawned by the supervisor; and
-//!    periodic checkpoint → encode → decode → restore cycles at seeded
-//!    crash points;
+//!    repairing order; an N-shard [`ColocatedDaemon`] whose workers
+//!    panic on a seeded [`PanicSchedule`] and get respawned by the
+//!    supervisor; and checkpoint → encode → decode → restore cycles at
+//!    seeded crash points;
 //! 3. compare the two plan sequences. Under the insert-or-transpose-only
 //!    fault model the harness demands they be **identical** — any
 //!    divergence is a bug, not noise.
@@ -24,19 +24,18 @@
 //! with a consumer that never drains, pinning the exact accepted/dropped
 //! event accounting when a fault burst overflows mid-batch.
 
-use crate::controller::{PlanEnvelope, RolloverReason};
+use crate::controller::PlanEnvelope;
+use crate::daemon::ColocatedDaemon;
 use crate::error::OnlineError;
-use crate::fault::{
-    silence_injected_panics, FaultRng, FaultSpec, FaultyReader, PanicSchedule, Sanitizer,
-};
+use crate::fault::{silence_injected_panics, FaultSpec, FaultyReader, PanicSchedule, Sanitizer};
 use crate::ingest::{spawn_reader_parallel, OverflowPolicy, RetryingReader};
-use crate::pipeline::run_monitor_serial;
-use crate::shard::{ShardOptions, ShardedController, SupervisionPolicy};
+use crate::shard::{ShardOptions, SupervisionPolicy};
 use ees_core::ProposedConfig;
 use ees_iotrace::ndjson::{parse_event_borrowed, write_events};
 use ees_iotrace::{DataItemId, EnclosureId, IoKind, LogicalIoRecord, Micros};
-use ees_replay::{CatalogItem, StreamHarness};
+use ees_replay::CatalogItem;
 use ees_simstorage::{Access, StorageConfig};
+use ees_workloads::SplitMix64;
 use std::collections::BTreeSet;
 use std::io::{BufRead, Cursor};
 
@@ -47,7 +46,9 @@ use std::io::{BufRead, Cursor};
 pub struct ChaosConfig {
     /// Master seed.
     pub seed: u64,
-    /// Shard workers in the hardened run (the baseline is serial).
+    /// Shard workers in the hardened run; 1 runs the in-thread
+    /// controller, which restores but has no workers to panic. The
+    /// baseline is always in-thread.
     pub shards: usize,
     /// Genuine events in the synthetic workload.
     pub events: u64,
@@ -139,17 +140,17 @@ fn synth_catalog(items: u32) -> Vec<CatalogItem> {
 /// apart), the invariant that lets the sanitizer identify injected
 /// duplicates and heal transpositions exactly.
 fn synth_records(seed: u64, events: u64, items: u32) -> Vec<LogicalIoRecord> {
-    let mut rng = FaultRng::new(seed ^ 0x0057_EA4D);
+    let mut rng = SplitMix64::new(seed ^ 0x0057_EA4D);
     let mut ts = 0u64;
     (0..events)
         .map(|_| {
-            ts += 200_000 + rng.below(1_000_001);
+            ts += rng.gen_range(200_000..=1_200_000u64);
             LogicalIoRecord {
                 ts: Micros(ts),
-                item: DataItemId(rng.below(items.max(1) as u64) as u32),
-                offset: rng.below(1 << 30),
-                len: 4096 << rng.below(4),
-                kind: if rng.below(100) < 40 {
+                item: DataItemId(rng.gen_range(0..items.max(1))),
+                offset: rng.gen_range(0..1u64 << 30),
+                len: 4096 << rng.gen_range(0..4u32),
+                kind: if rng.gen_bool(0.4) {
                     IoKind::Write
                 } else {
                     IoKind::Read
@@ -157,60 +158,6 @@ fn synth_records(seed: u64, events: u64, items: u32) -> Vec<LogicalIoRecord> {
             }
         })
         .collect()
-}
-
-/// Coordinator state of the hardened run, boxed up so a crash point can
-/// swap the controller out from under the delivery loop.
-struct ChaosDriver {
-    controller: ShardedController,
-    harness: StreamHarness,
-    plans: Vec<PlanEnvelope>,
-    accepted: u64,
-    crash_at: BTreeSet<u64>,
-    crash_restores: usize,
-}
-
-impl ChaosDriver {
-    fn invoke(&mut self, t_end: Micros, reason: RolloverReason) -> Result<(), OnlineError> {
-        self.harness.refresh_views();
-        let env = self.controller.rollover(
-            t_end,
-            reason,
-            self.harness.placement(),
-            self.harness.sequential(),
-            self.harness.views(),
-        )?;
-        self.harness.apply_plan(t_end, &env.plan);
-        self.harness.begin_period();
-        self.plans.push(env);
-        Ok(())
-    }
-
-    fn deliver(&mut self, rec: LogicalIoRecord) -> Result<(), OnlineError> {
-        while self.controller.needs_rollover(rec.ts) {
-            let t_end = self.controller.boundary();
-            self.invoke(t_end, RolloverReason::Boundary)?;
-        }
-        self.controller.observe(&rec);
-        self.accepted += 1;
-        if let Some(enclosure) = self.harness.placement().enclosure_of(rec.item) {
-            if self.controller.observe_io_event(rec.ts, enclosure)
-                && rec.ts > self.controller.period_start()
-            {
-                self.invoke(rec.ts, RolloverReason::Trigger)?;
-            }
-        }
-        if self.crash_at.remove(&self.accepted) {
-            self.controller.crash_restore(
-                self.accepted,
-                rec.ts,
-                self.harness.placement(),
-                self.harness.sequential(),
-            )?;
-            self.crash_restores += 1;
-        }
-        Ok(())
-    }
 }
 
 /// Runs one seeded chaos experiment; see the module docs for the shape.
@@ -226,47 +173,55 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, OnlineError> {
     let mut ndjson = Vec::with_capacity(records.len() * 64);
     write_events(&records, &mut ndjson)?;
 
-    let baseline = run_monitor_serial(
-        Cursor::new(ndjson.as_slice()),
-        &catalog,
-        NUM_ENCLOSURES,
-        &storage,
-        policy,
-        None,
-    )?
-    .plans;
+    let daemon = |shards: usize, options: ShardOptions| {
+        ColocatedDaemon::with_shard_options(
+            &catalog,
+            NUM_ENCLOSURES,
+            &storage,
+            policy,
+            None,
+            shards,
+            options,
+        )
+    };
+    let mut clean = daemon(1, ShardOptions::default());
+    let mut baseline = Vec::new();
+    for &rec in &records {
+        baseline.extend(clean.step(rec)?);
+    }
 
     // Hardened run: faulty bytes -> retrying reader -> parse-or-skip ->
-    // sanitizer -> sharded controller with panic schedule + crash points.
+    // sanitizer -> N-shard daemon with panic schedule + crash points.
     let (faulty, tally) = FaultyReader::new(
         Cursor::new(ndjson.clone()),
         cfg.seed ^ 0x000F_A017_5EED,
         cfg.spec,
     );
     let mut reader = RetryingReader::new(faulty);
+    let shards = cfg.shards.max(1);
     let options = ShardOptions {
         supervision: SupervisionPolicy::Respawn,
-        panic_schedule: (cfg.worker_panics > 0).then(|| {
-            PanicSchedule::seeded(cfg.seed, cfg.shards.max(1), cfg.events, cfg.worker_panics)
-        }),
+        panic_schedule: (cfg.worker_panics > 0)
+            .then(|| PanicSchedule::seeded(cfg.seed, shards, cfg.events, cfg.worker_panics)),
         ..ShardOptions::default()
     };
     let mut crash_at = BTreeSet::new();
     if cfg.crash_points > 0 && cfg.events > 2 {
-        let mut rng = FaultRng::new(cfg.seed ^ 0x0C4A_5119);
+        let mut rng = SplitMix64::new(cfg.seed ^ 0x0C4A_5119);
         while crash_at.len() < cfg.crash_points {
-            crash_at.insert(1 + rng.below(cfg.events - 1));
+            crash_at.insert(rng.gen_range(1..cfg.events));
         }
     }
-    let harness = StreamHarness::new(&catalog, NUM_ENCLOSURES, &storage);
-    let break_even = harness.break_even();
-    let mut driver = ChaosDriver {
-        controller: ShardedController::with_options(policy, break_even, cfg.shards.max(1), options),
-        harness,
-        plans: Vec::new(),
-        accepted: 0,
-        crash_at,
-        crash_restores: 0,
+    let mut hardened = daemon(shards, options);
+    let mut plans = Vec::new();
+    let mut crash_restores = 0usize;
+    let mut deliver = |rec: LogicalIoRecord| -> Result<(), OnlineError> {
+        plans.extend(hardened.step(rec)?);
+        if crash_at.remove(&hardened.events()) {
+            hardened.crash_restore()?;
+            crash_restores += 1;
+        }
+        Ok(())
     };
     let mut sanitizer = Sanitizer::new(Sanitizer::DEFAULT_WINDOW);
     let mut parse_skips = 0u64;
@@ -283,21 +238,18 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, OnlineError> {
         match parse_event_borrowed(trimmed) {
             Ok(rec) => {
                 if let Some(ready) = sanitizer.push(rec) {
-                    driver.deliver(ready)?;
+                    deliver(ready)?;
                 }
             }
             Err(_) => parse_skips += 1,
         }
     }
     for rec in sanitizer.drain() {
-        driver.deliver(rec)?;
+        deliver(rec)?;
     }
-    driver.controller.sync()?;
-    let respawns = driver.controller.respawns();
-    let incidents = driver.controller.drain_worker_events();
-    debug_assert!(respawns >= incidents.len() as u64);
+    hardened.sync()?;
 
-    let divergence = diff_plans(&baseline, &driver.plans);
+    let divergence = diff_plans(&baseline, &plans);
 
     // Overflow leg: the same faulty bytes against a consumer that never
     // drains, pinning exact per-event drop accounting under DropNewest.
@@ -322,7 +274,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, OnlineError> {
 
     let mut report = ChaosReport {
         seed: cfg.seed,
-        shards: cfg.shards.max(1),
+        shards,
         events: cfg.events,
         malformed: tally.malformed.load(std::sync::atomic::Ordering::Relaxed),
         truncated: tally.truncated.load(std::sync::atomic::Ordering::Relaxed),
@@ -331,18 +283,19 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, OnlineError> {
         stalls: tally.stalls.load(std::sync::atomic::Ordering::Relaxed),
         parse_skips,
         dup_drops: sanitizer.dropped_dups,
-        respawns,
-        crash_restores: driver.crash_restores,
-        plans: driver.plans.len(),
+        respawns: hardened.respawns(),
+        crash_restores,
+        plans: plans.len(),
         divergence,
         overflow_accepted: stats.accepted,
         overflow_dropped: stats.dropped,
     };
     // The hardened run must have folded every genuine event exactly once.
-    if report.divergence.is_none() && driver.accepted != cfg.events {
+    if report.divergence.is_none() && hardened.events() != cfg.events {
         report.divergence = Some(format!(
             "hardened run folded {} events, workload has {}",
-            driver.accepted, cfg.events
+            hardened.events(),
+            cfg.events
         ));
     }
     // The overflow leg must account for every genuine event (duplicates

@@ -8,15 +8,21 @@
 //! daemon fed a workload's NDJSON stream produces the same plan sequence,
 //! period for period, as `ees_replay::run` over the same workload. The
 //! `equivalence` test suite asserts this plan-for-plan.
+//!
+//! It is the crate's one serve-mode driver: `ees online`, the chaos
+//! harness ([`crate::chaos`]) and the endurance harness
+//! ([`crate::endure`]) all step it. The endurance harness watches the
+//! loop through a crate-private hook; the public `step` passes one that
+//! does nothing.
 
-use crate::checkpoint::ControllerCheckpoint;
+use crate::checkpoint::{decode_checkpoint, encode_checkpoint, ControllerCheckpoint};
 use crate::controller::{OnlineController, PeriodCore, PlanEnvelope, RolloverReason};
 use crate::error::OnlineError;
 use crate::shard::{ShardOptions, ShardedController};
-use ees_core::ProposedConfig;
+use ees_core::{MonitorHistory, ProposedConfig};
 use ees_iotrace::{DataItemId, EnclosureId, LogicalIoRecord, Micros};
 use ees_policy::EnclosureView;
-use ees_replay::{CatalogItem, StreamHarness};
+use ees_replay::{CatalogItem, ServedIo, StreamHarness};
 use ees_simstorage::PlacementMap;
 use ees_simstorage::StorageConfig;
 use std::collections::BTreeSet;
@@ -90,6 +96,42 @@ impl DaemonController {
         }
     }
 }
+
+/// What the daemon does after a cut, as its [`StepHook`] decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AfterCut {
+    /// Carry on with the record.
+    Continue,
+    /// Crash and restore the controller
+    /// ([`ColocatedDaemon::crash_restore`]), then carry on.
+    CrashRestore,
+    /// End the run: the step makes no further cut, and a record not yet
+    /// served is dropped.
+    Stop,
+}
+
+/// Observation points inside [`ColocatedDaemon::step`]. The endurance
+/// harness hangs its never-managed baseline and its per-period rows
+/// here. Every default does nothing, so the public `step` runs the bare
+/// loop.
+pub(crate) trait StepHook {
+    /// Before the cut at `t_end` is planned, with the managed harness.
+    fn before_cut(&mut self, _harness: &mut StreamHarness, _t_end: Micros) {}
+
+    /// After the cut's plan is applied; `history` includes the period it
+    /// closed.
+    fn after_cut(&mut self, _env: &PlanEnvelope, _history: &MonitorHistory) -> AfterCut {
+        AfterCut::Continue
+    }
+
+    /// After `rec` is served, before its trigger events.
+    fn served(&mut self, _rec: &LogicalIoRecord, _io: &ServedIo) {}
+}
+
+/// The hook of the public [`ColocatedDaemon::step`].
+struct NoHook;
+
+impl StepHook for NoHook {}
 
 /// Run-level counters reported when the stream ends.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,6 +274,46 @@ impl ColocatedDaemon {
         self.events
     }
 
+    /// Checkpoints the controller through the full `ees.checkpoint.v1`
+    /// codec, drops it (workers and all), and rebuilds the same flavour
+    /// from the decoded bytes — the crash/restore cycle the chaos and
+    /// endurance harnesses inject. The storage harness and the daemon's
+    /// counters survive, as a controller restart does not reset the
+    /// storage unit; so does a sharded controller's supervision record
+    /// (respawn count and undrained incidents).
+    pub(crate) fn crash_restore(&mut self) -> Result<(), OnlineError> {
+        let cp = self.checkpoint()?;
+        let decoded = decode_checkpoint(&encode_checkpoint(&cp))?;
+        if decoded != cp {
+            return Err(OnlineError::Checkpoint(
+                "codec roundtrip altered the checkpoint".to_string(),
+            ));
+        }
+        let policy = self.controller.core().config();
+        let restored = match &mut self.controller {
+            DaemonController::Single(_) => {
+                DaemonController::Single(OnlineController::from_state(policy, decoded.state))
+            }
+            DaemonController::Sharded(c) => DaemonController::Sharded(c.successor(&decoded)?),
+        };
+        self.controller = restored;
+        Ok(())
+    }
+
+    /// Shard workers respawned so far, across crash/restores (0 for the
+    /// in-thread controller).
+    pub(crate) fn respawns(&self) -> u64 {
+        match &self.controller {
+            DaemonController::Single(_) => 0,
+            DaemonController::Sharded(c) => c.respawns(),
+        }
+    }
+
+    /// The controller's monitoring history.
+    pub(crate) fn history(&self) -> &MonitorHistory {
+        self.controller.core().history()
+    }
+
     /// Classification shard workers behind the controller (1 when
     /// single-threaded).
     pub fn shards(&self) -> usize {
@@ -259,11 +341,16 @@ impl ColocatedDaemon {
         }
     }
 
-    fn invoke(
+    /// Closes the period at `t_end`, applies its plan, and appends it to
+    /// `plans`; `hook` sees both sides of the cut.
+    fn invoke<H: StepHook>(
         &mut self,
         t_end: Micros,
         reason: RolloverReason,
-    ) -> Result<PlanEnvelope, OnlineError> {
+        hook: &mut H,
+        plans: &mut Vec<PlanEnvelope>,
+    ) -> Result<AfterCut, OnlineError> {
+        hook.before_cut(&mut self.harness, t_end);
         self.harness.refresh_views();
         let envelope = self.controller.rollover(
             t_end,
@@ -274,7 +361,12 @@ impl ColocatedDaemon {
         )?;
         self.harness.apply_plan(t_end, &envelope.plan);
         self.harness.begin_period();
-        Ok(envelope)
+        let next = hook.after_cut(&envelope, self.controller.core().history());
+        plans.push(envelope);
+        if next == AfterCut::CrashRestore {
+            self.crash_restore()?;
+        }
+        Ok(next)
     }
 
     /// Processes one logical record; returns the plans this record caused
@@ -285,6 +377,16 @@ impl ColocatedDaemon {
     /// shard, or a worker the supervisor could not rebuild) —
     /// recoverable incidents are absorbed and the fold continues.
     pub fn step(&mut self, rec: LogicalIoRecord) -> Result<Vec<PlanEnvelope>, OnlineError> {
+        self.step_with(rec, &mut NoHook)
+    }
+
+    /// [`step`](Self::step) with `hook` watching each cut and serve.
+    #[inline]
+    pub(crate) fn step_with<H: StepHook>(
+        &mut self,
+        rec: LogicalIoRecord,
+        hook: &mut H,
+    ) -> Result<Vec<PlanEnvelope>, OnlineError> {
         if !self.harness.is_placed(rec.item) {
             return Err(OnlineError::UnplacedItem {
                 item: rec.item,
@@ -295,7 +397,9 @@ impl ColocatedDaemon {
         // Period boundaries at or before this record.
         while self.controller.core().needs_rollover(rec.ts) {
             let t_end = self.controller.core().boundary();
-            plans.push(self.invoke(t_end, RolloverReason::Boundary)?);
+            if self.invoke(t_end, RolloverReason::Boundary, hook, &mut plans)? == AfterCut::Stop {
+                return Ok(plans);
+            }
         }
 
         let t = rec.ts;
@@ -304,6 +408,7 @@ impl ColocatedDaemon {
         self.controller.observe(&rec);
         let served = self.harness.serve(rec);
         self.response_sum += served.response.as_secs_f64();
+        hook.served(&rec, &served);
 
         // Stream events; either may cut the period short (§V.D).
         let core = self.controller.core_mut();
@@ -313,7 +418,7 @@ impl ColocatedDaemon {
         }
         invoke_now |= core.observe_io_event(t, served.enclosure);
         if invoke_now && t > core.period_start() {
-            plans.push(self.invoke(t, RolloverReason::Trigger)?);
+            self.invoke(t, RolloverReason::Trigger, hook, &mut plans)?;
         }
         Ok(plans)
     }
@@ -397,6 +502,67 @@ mod tests {
             assert_eq!(summary.events, 10);
             assert_eq!(summary.periods, 0, "the rejected record closed no period");
             assert_eq!(summary.duration, Micros::from_secs(9));
+        }
+    }
+
+    /// The in-thread and the sharded controller both restart through the
+    /// checkpoint codec unnoticed: crash/restores after any record count
+    /// give the uninterrupted run's plans and final checkpoint.
+    #[test]
+    fn crash_restore_keeps_plans_and_the_final_checkpoint() {
+        let items: Vec<CatalogItem> = (0..6u32)
+            .map(|i| CatalogItem {
+                id: DataItemId(i),
+                size: 1 << 20,
+                enclosure: EnclosureId((i % 3) as u16),
+                access: Access::Random,
+            })
+            .collect();
+        let storage = StorageConfig::ams2500(3);
+        let policy = ProposedConfig {
+            initial_period: Micros::from_secs(60),
+            ..ProposedConfig::default()
+        };
+        // Items 0–2 busy throughout, 3–5 only in bursts: several periods,
+        // mixed patterns.
+        let recs: Vec<LogicalIoRecord> = (0..900u64)
+            .filter(|i| i % 6 < 3 || (i / 120) % 2 == 0)
+            .map(|i| LogicalIoRecord {
+                kind: if i % 5 == 0 {
+                    IoKind::Write
+                } else {
+                    IoKind::Read
+                },
+                ..rec(i, (i % 6) as u32)
+            })
+            .collect();
+        let run = |shards: usize, crash_after: &[u64]| {
+            let mut daemon = ColocatedDaemon::with_shard_options(
+                &items,
+                3,
+                &storage,
+                policy,
+                None,
+                shards,
+                ShardOptions::default(),
+            );
+            let mut plans = Vec::new();
+            for &r in &recs {
+                plans.extend(daemon.step(r).unwrap());
+                if crash_after.contains(&daemon.events()) {
+                    daemon.crash_restore().unwrap();
+                }
+            }
+            (plans, encode_checkpoint(&daemon.checkpoint().unwrap()))
+        };
+        for shards in [1usize, 2] {
+            let (want_plans, want_cp) = run(shards, &[]);
+            assert!(want_plans.len() >= 5, "{} plans", want_plans.len());
+            for crashes in [&[1u64][..], &[59, 60, 61], &[100, 333, 500, 640]] {
+                let (plans, cp) = run(shards, crashes);
+                assert_eq!(plans, want_plans, "shards = {shards}, crashes {crashes:?}");
+                assert_eq!(cp, want_cp, "shards = {shards}, crashes {crashes:?}");
+            }
         }
     }
 

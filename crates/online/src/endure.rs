@@ -3,18 +3,21 @@
 //! One run streams hundreds of monitoring periods of a synthetic
 //! workload (typically `ees_workloads::cloudblock`, whose accelerated
 //! "day" compresses weeks of diurnal structure into hours of simulated
-//! time) through the full production controller — [`ShardedController`]
-//! workers, §V.D triggers, §IV.H period adaptation — while a parallel
-//! **baseline** [`StreamHarness`] serves the identical record sequence
-//! with no management at all (no plans, no power-off eligibility, every
-//! enclosure active). Settling both energy meters at every rollover
-//! turns the pair into a per-period differential energy experiment:
+//! time) through the production daemon — [`ColocatedDaemon`] with its
+//! shard workers, §V.D triggers, §IV.H period adaptation — while a
+//! parallel **baseline** [`StreamHarness`] serves the identical record
+//! sequence with no management at all (no plans, no power-off
+//! eligibility, every enclosure active). The harness rides the daemon's
+//! loop through its crate-private step hook, so it owns only the
+//! baseline and the row bookkeeping. Settling both energy meters at
+//! every rollover turns the pair into a per-period differential energy
+//! experiment:
 //!
 //! * `savings_k = 1 − ΔE_managed / ΔE_baseline` for period `k`;
 //! * `p99_k` from the managed run's response-time histogram;
 //! * the period-length trajectory (§IV.H α-adaptation made visible);
-//! * the controller's [`MonitorHistory`](ees_core::MonitorHistory)
-//!   footprint and rollover counters, proving retention stays bounded.
+//! * the controller's [`MonitorHistory`] footprint and rollover
+//!   counters, proving retention stays bounded.
 //!
 //! The harness is an endurance test, not a benchmark: mid-run it
 //! injects checkpoint → encode → decode → restore cycles (the storage
@@ -25,13 +28,14 @@
 //! Same seed ⇒ identical report, across shard counts and across
 //! injected crashes (machinery-evidence counters aside).
 
-use crate::controller::RolloverReason;
+use crate::controller::{PlanEnvelope, RolloverReason};
+use crate::daemon::{AfterCut, ColocatedDaemon, StepHook};
 use crate::error::OnlineError;
 use crate::fault::{silence_injected_panics, PanicSchedule};
-use crate::shard::{ShardOptions, ShardedController, SupervisionPolicy};
-use ees_core::ProposedConfig;
+use crate::shard::{ShardOptions, SupervisionPolicy};
+use ees_core::{MonitorHistory, ProposedConfig};
 use ees_iotrace::{LatencyHistogram, LogicalIoRecord, Micros};
-use ees_replay::{CatalogItem, StreamHarness};
+use ees_replay::{CatalogItem, ServedIo, StreamHarness};
 use ees_simstorage::StorageConfig;
 
 /// Everything one endurance run depends on. The seed (via the caller's
@@ -42,7 +46,9 @@ pub struct EnduranceConfig {
     pub seed: u64,
     /// Period rows to record before stopping (boundary + trigger cuts).
     pub periods: usize,
-    /// Shard workers (the report is identical for any value ≥ 1).
+    /// Shard workers (the report is identical for any value ≥ 1); 1 runs
+    /// the in-thread controller, which restores but has no workers to
+    /// panic.
     pub shards: usize,
     /// Controller policy.
     pub policy: ProposedConfig,
@@ -93,8 +99,7 @@ pub struct PeriodMetric {
     pub savings: f64,
     /// p99 response time of the managed run's serves this period.
     pub p99: Option<Micros>,
-    /// [`MonitorHistory`](ees_core::MonitorHistory) logical footprint
-    /// after the rollover, bytes.
+    /// [`MonitorHistory`] logical footprint after the rollover, bytes.
     pub history_bytes: u64,
     /// History rollover counter (total periods ever recorded).
     pub history_periods: u64,
@@ -178,55 +183,47 @@ fn slope(ys: &[f64]) -> Option<f64> {
     Some(num / den)
 }
 
-/// Coordinator state, boxed up so a crash point can swap the controller
-/// out from under the delivery loop (the harnesses survive).
-struct EndureDriver {
-    controller: ShardedController,
-    managed: StreamHarness,
+/// The endurance harness's side of the daemon's loop: the never-managed
+/// baseline harness and the per-period rows.
+struct Rows {
     baseline: StreamHarness,
     rows: Vec<PeriodMetric>,
     target: usize,
     restore_every: usize,
     hist: LatencyHistogram,
     period_events: u64,
-    accepted: u64,
     last_managed_joules: f64,
     last_baseline_joules: f64,
+    /// Managed and baseline joules of the period being cut.
+    cut_joules: (f64, f64),
     crash_restores: usize,
 }
 
-impl EndureDriver {
+impl Rows {
     fn done(&self) -> bool {
         self.rows.len() >= self.target
     }
+}
 
-    /// Settles both energy meters at `t_end`, takes the per-period
-    /// deltas, rolls the controller over, executes the plan, and records
-    /// the row. The plan's own bulk I/O lands after the settle, so
+impl StepHook for Rows {
+    /// Settles both energy meters at `t_end` and takes the per-period
+    /// deltas. The plan's own bulk I/O lands after the settle, so
     /// migration/flush overheads are charged to the *following* period —
     /// consistently, run for run.
-    fn close_period(&mut self, t_end: Micros, reason: RolloverReason) -> Result<(), OnlineError> {
-        self.managed.settle_meters(t_end);
+    fn before_cut(&mut self, managed: &mut StreamHarness, t_end: Micros) {
+        managed.settle_meters(t_end);
         self.baseline.settle_meters(t_end);
-        let m = self.managed.controller().total_energy_joules(t_end);
+        let m = managed.controller().total_energy_joules(t_end);
         let b = self.baseline.controller().total_energy_joules(t_end);
-        let dm = m - self.last_managed_joules;
-        let db = b - self.last_baseline_joules;
+        self.cut_joules = (m - self.last_managed_joules, b - self.last_baseline_joules);
         self.last_managed_joules = m;
         self.last_baseline_joules = b;
+    }
 
-        self.managed.refresh_views();
-        let env = self.controller.rollover(
-            t_end,
-            reason,
-            self.managed.placement(),
-            self.managed.sequential(),
-            self.managed.views(),
-        )?;
-        self.managed.apply_plan(t_end, &env.plan);
-        self.managed.begin_period();
-
-        let h = self.controller.history();
+    /// Records the row, then stops at the target or asks for a
+    /// crash/restore on schedule.
+    fn after_cut(&mut self, env: &PlanEnvelope, h: &MonitorHistory) -> AfterCut {
+        let (dm, db) = self.cut_joules;
         self.rows.push(PeriodMetric {
             index: self.rows.len() as u64,
             start: env.period.start,
@@ -242,52 +239,22 @@ impl EndureDriver {
         });
         self.period_events = 0;
         self.hist = LatencyHistogram::new();
-
-        if self.restore_every > 0
-            && self.rows.len().is_multiple_of(self.restore_every)
-            && !self.done()
-        {
+        if self.done() {
+            AfterCut::Stop
+        } else if self.restore_every > 0 && self.rows.len().is_multiple_of(self.restore_every) {
             // Both harnesses survive the crash, so the savings trajectory
             // must show no discontinuity.
-            self.controller.crash_restore(
-                self.accepted,
-                t_end,
-                self.managed.placement(),
-                self.managed.sequential(),
-            )?;
             self.crash_restores += 1;
+            AfterCut::CrashRestore
+        } else {
+            AfterCut::Continue
         }
-        Ok(())
     }
 
-    /// Same per-record decision flow as [`crate::ColocatedDaemon::step`]
-    /// (boundaries first, then observe + serve, then the §V.D triggers),
-    /// plus the baseline serve and the per-period metric feeds.
-    fn deliver(&mut self, rec: LogicalIoRecord) -> Result<(), OnlineError> {
-        while !self.done() && self.controller.needs_rollover(rec.ts) {
-            let t_end = self.controller.boundary();
-            self.close_period(t_end, RolloverReason::Boundary)?;
-        }
-        if self.done() {
-            return Ok(());
-        }
-        let t = rec.ts;
-        self.controller.observe(&rec);
-        let served = self.managed.serve(rec);
-        self.baseline.serve(rec);
-        self.hist.record(served.response);
+    fn served(&mut self, rec: &LogicalIoRecord, io: &ServedIo) {
+        self.baseline.serve(*rec);
+        self.hist.record(io.response);
         self.period_events += 1;
-        self.accepted += 1;
-
-        let mut invoke_now = false;
-        if served.spun_up {
-            invoke_now |= self.controller.observe_spin_up(t, served.enclosure);
-        }
-        invoke_now |= self.controller.observe_io_event(t, served.enclosure);
-        if invoke_now && t > self.controller.period_start() {
-            self.close_period(t, RolloverReason::Trigger)?;
-        }
-        Ok(())
     }
 }
 
@@ -316,39 +283,41 @@ where
             .then(|| PanicSchedule::seeded(cfg.seed, shards, cfg.panic_horizon, cfg.worker_panics)),
         ..ShardOptions::default()
     };
-    let managed = StreamHarness::new(catalog, num_enclosures, storage);
-    let baseline = StreamHarness::new(catalog, num_enclosures, storage);
-    let break_even = managed.break_even();
-    let mut driver = EndureDriver {
-        controller: ShardedController::with_options(cfg.policy, break_even, shards, options),
-        managed,
-        baseline,
+    let mut daemon = ColocatedDaemon::with_shard_options(
+        catalog,
+        num_enclosures,
+        storage,
+        cfg.policy,
+        None,
+        shards,
+        options,
+    );
+    let mut hook = Rows {
+        baseline: StreamHarness::new(catalog, num_enclosures, storage),
         rows: Vec::with_capacity(cfg.periods),
         target: cfg.periods.max(1),
         restore_every: cfg.restore_every,
         hist: LatencyHistogram::new(),
         period_events: 0,
-        accepted: 0,
         last_managed_joules: 0.0,
         last_baseline_joules: 0.0,
+        cut_joules: (0.0, 0.0),
         crash_restores: 0,
     };
     for rec in events {
-        driver.deliver(rec)?;
-        if driver.done() {
+        daemon.step_with(rec, &mut hook)?;
+        if hook.done() {
             break;
         }
     }
-    driver.controller.sync()?;
-    let respawns = driver.controller.respawns();
-    driver.controller.drain_worker_events();
+    daemon.sync()?;
 
-    let rows = driver.rows;
+    let rows = hook.rows;
     let total_m: f64 = rows.iter().map(|r| r.managed_joules).sum();
     let total_b: f64 = rows.iter().map(|r| r.baseline_joules).sum();
     let back = &rows[rows.len() / 2..];
     let back_savings: Vec<f64> = back.iter().map(|r| r.savings).collect();
-    let h = driver.controller.history();
+    let h = daemon.history();
     Ok(EnduranceReport {
         seed: cfg.seed,
         shards,
@@ -366,8 +335,8 @@ where
         } else {
             back_savings.iter().sum::<f64>() / back_savings.len() as f64
         },
-        crash_restores: driver.crash_restores,
-        respawns,
+        crash_restores: hook.crash_restores,
+        respawns: daemon.respawns(),
         trigger_cuts: rows.iter().filter(|r| r.trigger).count() as u64,
         history_footprint_bytes: h.footprint_bytes(),
         history_total_periods: h.total_periods(),
@@ -471,6 +440,7 @@ mod tests {
         let a = run(&clean);
         let b = run(&chaotic);
         assert!(b.crash_restores >= 2, "crash points must have fired");
+        assert!(b.respawns >= 1, "respawns before a restore must be counted");
         assert_eq!(a.rows, b.rows, "restore must not bend any metric");
         assert_eq!(a.stability, b.stability);
     }

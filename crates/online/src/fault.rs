@@ -5,8 +5,8 @@
 //! a half-written log, duplicated and transposed events from a racy
 //! shipper, a reader that momentarily blocks — and (b) *reproducible*,
 //! so a failing seed replays exactly. Everything here derives from a u64
-//! seed through a splitmix64 stream; no global RNG, no time, no
-//! thread-dependence.
+//! seed through the workspace's one generator, [`SplitMix64`]; no global
+//! RNG, no time, no thread-dependence.
 //!
 //! The injector only *inserts* noise (malformed/truncated/duplicate
 //! lines), *transposes* adjacent lines, or *stalls* the reader — it never
@@ -20,6 +20,7 @@
 //! "approximately equal" outcomes.
 
 use ees_iotrace::{LogicalIoRecord, Micros};
+use ees_workloads::SplitMix64;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, BufRead, Read};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,35 +29,6 @@ use std::sync::{Arc, Mutex, Once};
 /// Marker embedded in injected worker-panic payloads, so the quiet panic
 /// hook (and nothing else) can recognize them.
 pub const INJECTED_PANIC_MARKER: &str = "injected worker panic";
-
-/// Deterministic splitmix64 stream — the same generator the offline
-/// proptest stand-in uses, reimplemented here so the library does not
-/// depend on a dev-dependency.
-#[derive(Debug, Clone)]
-pub struct FaultRng {
-    state: u64,
-}
-
-impl FaultRng {
-    /// Seeds the stream.
-    pub fn new(seed: u64) -> Self {
-        FaultRng { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, n)`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
 
 /// Per-mille rates for each fault class, rolled once per clean input
 /// line. At most one fault fires per line (the rolls share a single
@@ -139,7 +111,7 @@ impl FaultTally {
 /// line-oriented stream. See the module docs for the fault model.
 pub struct FaultyReader<R> {
     inner: R,
-    rng: FaultRng,
+    rng: SplitMix64,
     spec: FaultSpec,
     tally: Arc<FaultTally>,
     /// Bytes staged for the consumer.
@@ -165,7 +137,7 @@ impl<R: BufRead> FaultyReader<R> {
         (
             FaultyReader {
                 inner,
-                rng: FaultRng::new(seed),
+                rng: SplitMix64::new(seed),
                 spec,
                 tally: Arc::clone(&tally),
                 buf: Vec::new(),
@@ -212,7 +184,7 @@ impl<R: BufRead> FaultyReader<R> {
             self.buf.extend_from_slice(&line);
             return Ok(true);
         }
-        let roll = self.rng.below(1000) as u32;
+        let roll = self.rng.gen_range(0..1000u32);
         let s = &self.spec;
         let mut edge = s.malformed_per_mille;
         if roll < edge {
@@ -382,13 +354,13 @@ impl PanicSchedule {
     /// Draws `count` panic points for `shards` shards over a stream of
     /// roughly `events` records, deterministically from `seed`.
     pub fn seeded(seed: u64, shards: usize, events: u64, count: usize) -> Arc<Self> {
-        let mut rng = FaultRng::new(seed ^ 0xC4A5_5EED);
+        let mut rng = SplitMix64::new(seed ^ 0xC4A5_5EED);
         let mut points = BTreeSet::new();
         // Each shard folds only its share of the stream; aim inside it.
         let per_shard = (events / shards.max(1) as u64).max(2);
         while points.len() < count {
-            let shard = rng.below(shards.max(1) as u64) as usize;
-            let idx = 1 + rng.below(per_shard - 1);
+            let shard = rng.gen_range(0..shards.max(1));
+            let idx = rng.gen_range(1..per_shard);
             points.insert((shard, idx));
         }
         Arc::new(PanicSchedule {
@@ -450,15 +422,6 @@ mod tests {
             offset: 0,
             len: 4096,
             kind: IoKind::Read,
-        }
-    }
-
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = FaultRng::new(7);
-        let mut b = FaultRng::new(7);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

@@ -59,9 +59,7 @@
 //!   injected fault schedule.
 
 #![warn(missing_docs)]
-// The shard transport's ring is the crate's one audited `unsafe`;
-// everything else stays safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod checkpoint;
@@ -75,8 +73,6 @@ pub mod frontend;
 pub mod ingest;
 pub mod net;
 pub mod pipeline;
-#[allow(unsafe_code)]
-mod ring;
 pub mod shard;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
@@ -90,8 +86,7 @@ pub use daemon::{ColocatedDaemon, OnlineSummary};
 pub use endure::{run_endurance, EnduranceConfig, EnduranceReport, PeriodMetric};
 pub use error::{OnlineError, Severity};
 pub use fault::{
-    silence_injected_panics, FaultRng, FaultSpec, FaultTally, FaultyReader, PanicSchedule,
-    Sanitizer,
+    silence_injected_panics, FaultSpec, FaultTally, FaultyReader, PanicSchedule, Sanitizer,
 };
 pub use frontend::{
     parse_block, parse_chunk, parse_lines, ChunkError, ParallelScanner, ParsedChunk, ScanSource,

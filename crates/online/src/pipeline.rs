@@ -15,7 +15,7 @@
 //!   thread, the coordinator, walks the re-sequenced records in exact
 //!   stream order: rollover sequencing,
 //!   [`observe`](ShardedController::observe) routing into the shard
-//!   rings, and the §V.D trigger sweep.
+//!   channels, and the §V.D trigger sweep.
 //!
 //! Both return the same plans on the same input (property-tested by the
 //! `sharded` suite); the throughput smoke in `ci.sh` times one against

@@ -57,25 +57,24 @@
 //! [`rollover`](ShardedController::rollover) is just `begin` + `finish`,
 //! so every caller exercises the same path.
 
-use crate::checkpoint::{decode_checkpoint, encode_checkpoint, ControllerCheckpoint};
+use crate::checkpoint::ControllerCheckpoint;
 use crate::classify::{IncrementalClassifier, ItemCheckpoint};
 use crate::controller::{seq_factor_of, PeriodCore, PlanEnvelope, RolloverReason};
 use crate::error::{OnlineError, Severity};
 use crate::fault::{PanicSchedule, INJECTED_PANIC_MARKER};
-use crate::ring::{ring_channel, RingReceiver, RingSendError, RingSender};
 use ees_core::{merge_shard_reports_into, ItemReport, ProposedConfig};
 use ees_iotrace::{DataItemId, EnclosureId, LogicalIoRecord, Micros};
 use ees_policy::EnclosureView;
 use ees_simstorage::PlacementMap;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SendError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Records buffered per shard before a batch is shipped.
 const RECORD_FLUSH: usize = 256;
-/// Default batches in flight per shard ring (bounds coordinator
+/// Default batches in flight per shard channel (bounds coordinator
 /// run-ahead); override with [`ShardOptions::queue`].
 pub const SHARD_QUEUE: usize = 8;
 /// Barrier reply poll granularity: long enough to stay off the fast
@@ -130,7 +129,7 @@ fn worker(
     shard: usize,
     shards: usize,
     break_even: Micros,
-    rx: RingReceiver<ShardMsg>,
+    rx: Receiver<ShardMsg>,
     panic_schedule: Option<Arc<PanicSchedule>>,
 ) {
     let mut classifier = IncrementalClassifier::new(Micros::ZERO, break_even);
@@ -220,8 +219,8 @@ pub struct ShardOptions {
     /// Injected worker-panic schedule (chaos testing only; `None` in
     /// production).
     pub panic_schedule: Option<Arc<PanicSchedule>>,
-    /// Batches in flight per shard ring (rounded up to a power of two);
-    /// bounds coordinator run-ahead. Defaults to [`SHARD_QUEUE`].
+    /// Batches in flight per shard channel, exactly (at least 1); bounds
+    /// coordinator run-ahead. Defaults to [`SHARD_QUEUE`].
     pub queue: usize,
     /// Parser threads for the parallel ingest front end: `0` (default)
     /// resolves to one reader per shard; `1` is a single parser thread.
@@ -316,10 +315,10 @@ pub struct ShardedController {
     shards: usize,
     options: ShardOptions,
     /// `None` marks a quarantined (or mid-revive) shard's empty slot.
-    senders: Vec<Option<RingSender<ShardMsg>>>,
+    senders: Vec<Option<SyncSender<ShardMsg>>>,
     handles: Vec<Option<JoinHandle<()>>>,
     /// Per-shard records not yet shipped, flushed in arrival-order
-    /// batches so ring traffic is batched, not per-record.
+    /// batches so channel traffic is batched, not per-record.
     pending: Vec<Vec<LogicalIoRecord>>,
     /// Base state + shipped-batch journal per shard, for worker rebuild.
     ledgers: Vec<ShardLedger>,
@@ -413,40 +412,22 @@ impl ShardedController {
         Ok(ctl)
     }
 
-    /// Checkpoints through the full `ees.checkpoint.v1` codec, drops this
-    /// controller (workers and all), and replaces it with one restored
-    /// from the decoded bytes on the same shard count and options — the
-    /// crash/restore cycle the chaos and endurance harnesses inject. The
-    /// caller's storage harness survives, as a controller restart does
-    /// not reset the storage unit.
-    pub(crate) fn crash_restore(
-        &mut self,
-        events: u64,
-        last_ts: Micros,
-        placement: &PlacementMap,
-        sequential: &BTreeSet<DataItemId>,
-    ) -> Result<(), OnlineError> {
-        let cp = self.checkpoint(events, last_ts, placement, sequential)?;
-        let decoded = decode_checkpoint(&encode_checkpoint(&cp))?;
-        if decoded != cp {
-            return Err(OnlineError::Checkpoint(
-                "codec roundtrip altered the checkpoint".to_string(),
-            ));
-        }
-        *self = Self::from_checkpoint(
-            self.core.config(),
-            self.shards,
-            self.options.clone(),
-            &decoded,
-        )?;
-        Ok(())
+    /// The controller a restart from `cp` yields — same shard count and
+    /// options — carrying over this one's supervision record (respawn
+    /// count and undrained incidents), which a checkpoint does not hold.
+    pub(crate) fn successor(&mut self, cp: &ControllerCheckpoint) -> Result<Self, OnlineError> {
+        let mut next =
+            Self::from_checkpoint(self.core.config(), self.shards, self.options.clone(), cp)?;
+        next.respawns += self.respawns;
+        next.events.splice(0..0, self.events.drain(..));
+        Ok(next)
     }
 
-    fn spawn_worker(&self, shard: usize) -> (RingSender<ShardMsg>, JoinHandle<()>) {
+    fn spawn_worker(&self, shard: usize) -> (SyncSender<ShardMsg>, JoinHandle<()>) {
         let shards = self.shards;
         let break_even = self.core.break_even();
         let schedule = self.options.panic_schedule.clone();
-        let (tx, rx) = ring_channel::<ShardMsg>(self.options.queue.max(1));
+        let (tx, rx) = sync_channel::<ShardMsg>(self.options.queue.max(1));
         let handle = std::thread::spawn(move || worker(shard, shards, break_even, rx, schedule));
         (tx, handle)
     }
@@ -610,7 +591,7 @@ impl ShardedController {
             };
             match tx.send(msg) {
                 Ok(()) => return Ok(()),
-                Err(RingSendError(returned)) => {
+                Err(SendError(returned)) => {
                     msg = returned;
                     self.revive_shard(shard)?;
                 }
@@ -1017,6 +998,29 @@ mod tests {
                 spin_ups: 0,
             })
             .collect()
+    }
+
+    /// The supervisor's death detector: a send to a dead worker's channel
+    /// hands the message back, so the batch is not lost.
+    #[test]
+    fn send_returns_the_message_once_the_receiver_is_gone() {
+        let (tx, rx) = sync_channel::<ShardMsg>(2);
+        tx.send(ShardMsg::Records(vec![rec(1.0, 0)])).unwrap();
+        drop(rx);
+        let SendError(back) = tx.send(ShardMsg::Records(vec![rec(2.0, 1)])).unwrap_err();
+        assert!(matches!(back, ShardMsg::Records(batch) if batch == [rec(2.0, 1)]));
+    }
+
+    /// A worker that dies with a barrier message queued must not keep the
+    /// barrier waiting: dropping its receiver drops the queued reply
+    /// sender, so the reply channel disconnects.
+    #[test]
+    fn dropping_the_receiver_releases_queued_reply_senders() {
+        let (reply_tx, reply_rx) = sync_channel::<ShardReply>(1);
+        let (tx, rx) = sync_channel::<ShardMsg>(2);
+        tx.send(ShardMsg::Ping { reply: reply_tx }).unwrap();
+        drop(rx);
+        assert!(reply_rx.recv().is_err());
     }
 
     #[test]

@@ -197,7 +197,7 @@ fn sharded_plans_with_crashes(
 /// at the `crash_at_cut[i]`-th boundary rollover the driver checkpoints
 /// (the last durable state a real daemon would have), calls
 /// `rollover_begin` so the cut is genuinely in flight across the shard
-/// rings, then drops the controller before `rollover_finish` — workers
+/// channels, then drops the controller before `rollover_finish` — workers
 /// die with the merge pending — and restores from the checkpoint onto
 /// the next shard count. The restored controller still owes the same
 /// boundary rollover, so the plan sequence must not change.
@@ -343,7 +343,7 @@ proptest! {
     }
 
     /// A crash landing *during an in-flight overlapped merge* — after
-    /// `rollover_begin` shipped the cut to every shard ring, before
+    /// `rollover_begin` shipped the cut to every shard channel, before
     /// `rollover_finish` collected it — restores from the last
     /// checkpoint to the exact fault-free serial plans, even when the
     /// restore changes the shard count and worker panics are layered on

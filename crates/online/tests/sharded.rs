@@ -2,10 +2,10 @@
 //! plan for plan, for any shard count.
 //!
 //! * Property test: for arbitrary record streams (including streams that
-//!   cut periods mid-way via §V.D triggers), a [`ShardedController`]
-//!   with 1, 2, 3, 4, or 8 shards driven through the daemon flow emits
-//!   exactly the plan sequence of the single-threaded
-//!   [`OnlineController`] on the same input.
+//!   cut periods mid-way via §V.D triggers), a [`ColocatedDaemon`] with
+//!   2, 3, 4, or 8 shards emits exactly the plan sequence of the 1-shard
+//!   daemon, whose controller is the in-thread
+//!   [`OnlineController`](ees_online::OnlineController).
 //! * Deterministic test: a bursty file-server workload exercises actual
 //!   trigger cuts and the equality still holds.
 //! * Pipeline property test: the sharded monitor pipeline
@@ -28,14 +28,12 @@ use ees_iotrace::{ndjson, DataItemId, EnclosureId, IoKind, LogicalIoRecord, Micr
 use ees_online::{
     read_checkpoint_file, run_monitor_serial, run_monitor_sharded, shard_of,
     silence_injected_panics, spawn_reader_parallel, write_checkpoint_file, ColocatedDaemon,
-    OnlineController, OverflowPolicy, PanicSchedule, PlanEnvelope, RolloverReason, ScanSource,
-    ShardOptions, ShardedController,
+    OverflowPolicy, PanicSchedule, PlanEnvelope, RolloverReason, ScanSource, ShardOptions,
+    ShardedController,
 };
-use ees_policy::EnclosureView;
 use ees_replay::{CatalogItem, StreamHarness};
-use ees_simstorage::{Access, PlacementMap, StorageConfig};
+use ees_simstorage::{Access, StorageConfig};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use std::io::Cursor;
 
 const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
@@ -45,152 +43,24 @@ fn slice(bytes: &[u8]) -> ScanSource<'_, std::io::Empty> {
     ScanSource::Slice(bytes)
 }
 
-/// The common controller surface, so one driver can exercise both
-/// flavors through the exact per-record flow the daemon uses.
-trait ControllerLike {
-    fn needs_rollover(&self, ts: Micros) -> bool;
-    fn boundary(&self) -> Micros;
-    fn period_start(&self) -> Micros;
-    fn observe(&mut self, rec: &LogicalIoRecord);
-    fn observe_io_event(&mut self, t: Micros, e: EnclosureId) -> bool;
-    fn observe_spin_up(&mut self, t: Micros, e: EnclosureId) -> bool;
-    fn rollover(
-        &mut self,
-        t: Micros,
-        reason: RolloverReason,
-        placement: &PlacementMap,
-        sequential: &BTreeSet<DataItemId>,
-        views: &[EnclosureView],
-    ) -> PlanEnvelope;
-}
-
-macro_rules! impl_controller_like {
-    // The sharded flavor's rollover is fallible (worker supervision can
-    // surface a fatal error); in these equivalence tests any failure is
-    // a test failure, so unwrap at the trait boundary.
-    ($ty:ty, fallible) => {
-        impl ControllerLike for $ty {
-            fn needs_rollover(&self, ts: Micros) -> bool {
-                <$ty>::needs_rollover(self, ts)
-            }
-            fn boundary(&self) -> Micros {
-                <$ty>::boundary(self)
-            }
-            fn period_start(&self) -> Micros {
-                <$ty>::period_start(self)
-            }
-            fn observe(&mut self, rec: &LogicalIoRecord) {
-                <$ty>::observe(self, rec)
-            }
-            fn observe_io_event(&mut self, t: Micros, e: EnclosureId) -> bool {
-                <$ty>::observe_io_event(self, t, e)
-            }
-            fn observe_spin_up(&mut self, t: Micros, e: EnclosureId) -> bool {
-                <$ty>::observe_spin_up(self, t, e)
-            }
-            fn rollover(
-                &mut self,
-                t: Micros,
-                reason: RolloverReason,
-                placement: &PlacementMap,
-                sequential: &BTreeSet<DataItemId>,
-                views: &[EnclosureView],
-            ) -> PlanEnvelope {
-                <$ty>::rollover(self, t, reason, placement, sequential, views)
-                    .expect("sharded rollover failed")
-            }
-        }
-    };
-    ($ty:ty) => {
-        impl ControllerLike for $ty {
-            fn needs_rollover(&self, ts: Micros) -> bool {
-                <$ty>::needs_rollover(self, ts)
-            }
-            fn boundary(&self) -> Micros {
-                <$ty>::boundary(self)
-            }
-            fn period_start(&self) -> Micros {
-                <$ty>::period_start(self)
-            }
-            fn observe(&mut self, rec: &LogicalIoRecord) {
-                <$ty>::observe(self, rec)
-            }
-            fn observe_io_event(&mut self, t: Micros, e: EnclosureId) -> bool {
-                <$ty>::observe_io_event(self, t, e)
-            }
-            fn observe_spin_up(&mut self, t: Micros, e: EnclosureId) -> bool {
-                <$ty>::observe_spin_up(self, t, e)
-            }
-            fn rollover(
-                &mut self,
-                t: Micros,
-                reason: RolloverReason,
-                placement: &PlacementMap,
-                sequential: &BTreeSet<DataItemId>,
-                views: &[EnclosureView],
-            ) -> PlanEnvelope {
-                <$ty>::rollover(self, t, reason, placement, sequential, views)
-            }
-        }
-    };
-}
-
-impl_controller_like!(OnlineController);
-impl_controller_like!(ShardedController, fallible);
-
-/// Replays `recs` through a controller with the daemon's per-record
-/// flow: boundary rollovers before the record, classify before serving,
-/// spin-up then I/O trigger events after, a trigger cut only when `t` is
-/// strictly past the period start.
-fn drive<C: ControllerLike>(
-    mut ctl: C,
+/// The plans a `shards`-shard daemon emits over `recs`; at 1 shard it
+/// runs the in-thread controller, the oracle every other count must
+/// match.
+fn drive(
+    shards: usize,
     recs: &[LogicalIoRecord],
     catalog: &[CatalogItem],
     enclosures: u16,
     cfg: &StorageConfig,
+    policy: ProposedConfig,
 ) -> Vec<PlanEnvelope> {
-    let mut harness = StreamHarness::new(catalog, enclosures, cfg);
-    let mut plans: Vec<PlanEnvelope> = Vec::new();
-    fn invoke<C: ControllerLike>(
-        harness: &mut StreamHarness,
-        ctl: &mut C,
-        t: Micros,
-        reason: RolloverReason,
-    ) -> PlanEnvelope {
-        harness.refresh_views();
-        let env = ctl.rollover(
-            t,
-            reason,
-            harness.placement(),
-            harness.sequential(),
-            harness.views(),
-        );
-        harness.apply_plan(t, &env.plan);
-        harness.begin_period();
-        env
-    }
-    for rec in recs {
-        while ctl.needs_rollover(rec.ts) {
-            let t = ctl.boundary();
-            plans.push(invoke(&mut harness, &mut ctl, t, RolloverReason::Boundary));
-        }
-        ctl.observe(rec);
-        let served = harness.serve(*rec);
-        let mut fire = false;
-        if served.spun_up {
-            fire |= ctl.observe_spin_up(rec.ts, served.enclosure);
-        }
-        fire |= ctl.observe_io_event(rec.ts, served.enclosure);
-        if fire && rec.ts > ctl.period_start() {
-            plans.push(invoke(
-                &mut harness,
-                &mut ctl,
-                rec.ts,
-                RolloverReason::Trigger,
-            ));
-        }
-    }
-    plans
+    let options = ShardOptions::default();
+    let mut daemon = ColocatedDaemon::with_shard_options(
+        catalog, enclosures, cfg, policy, None, shards, options,
+    );
+    recs.iter()
+        .flat_map(|&rec| daemon.step(rec).expect("step"))
+        .collect()
 }
 
 /// Like [`drive`], but every cut goes through the split overlapped API:
@@ -351,17 +221,10 @@ proptest! {
         let catalog = synthetic_catalog(8, enclosures);
         let cfg = StorageConfig::ams2500(enclosures);
         let policy = short_period_policy();
-        let break_even = StreamHarness::new(&catalog, enclosures, &cfg).break_even();
 
-        let single = drive(
-            OnlineController::new(policy, break_even),
-            &recs, &catalog, enclosures, &cfg,
-        );
+        let single = drive(1, &recs, &catalog, enclosures, &cfg, policy);
         for shards in SHARD_COUNTS {
-            let sharded = drive(
-                ShardedController::new(policy, break_even, shards),
-                &recs, &catalog, enclosures, &cfg,
-            );
+            let sharded = drive(shards, &recs, &catalog, enclosures, &cfg, policy);
             assert_same_plans(&single, &sharded, shards);
         }
     }
@@ -504,7 +367,6 @@ proptest! {
         let catalog = synthetic_catalog(6, enclosures);
         let cfg = StorageConfig::ams2500(enclosures);
         let policy = short_period_policy();
-        let break_even = StreamHarness::new(&catalog, enclosures, &cfg).break_even();
         // Sweep only items that live on the cold enclosure (2 and 5 on
         // e2): sweeps on e0/e1 items would keep the hot idle clocks
         // fresh and mask the cut.
@@ -512,20 +374,14 @@ proptest! {
             sweeps.into_iter().map(|(ts, i)| (ts, [2u32, 5][i as usize])).collect();
         let recs = trigger_trace(hot_step, &sweeps);
 
-        let single = drive(
-            OnlineController::new(policy, break_even),
-            &recs, &catalog, enclosures, &cfg,
-        );
+        let single = drive(1, &recs, &catalog, enclosures, &cfg, policy);
         let cuts = single
             .iter()
             .filter(|e| e.reason == RolloverReason::Trigger)
             .count();
         prop_assert!(cuts >= 1, "fixture must exercise mid-period trigger cuts");
         for shards in SHARD_COUNTS {
-            let sharded = drive(
-                ShardedController::new(policy, break_even, shards),
-                &recs, &catalog, enclosures, &cfg,
-            );
+            let sharded = drive(shards, &recs, &catalog, enclosures, &cfg, policy);
             assert_same_plans(&single, &sharded, shards);
         }
     }
@@ -541,10 +397,7 @@ proptest! {
         let policy = short_period_policy();
         let break_even = StreamHarness::new(&catalog, enclosures, &cfg).break_even();
 
-        let single = drive(
-            OnlineController::new(policy, break_even),
-            &recs, &catalog, enclosures, &cfg,
-        );
+        let single = drive(1, &recs, &catalog, enclosures, &cfg, policy);
         for shards in SHARD_COUNTS {
             let sharded = drive_overlapped(
                 ShardedController::new(policy, break_even, shards),
@@ -614,13 +467,7 @@ fn overlapped_rollover_matches_single_through_trigger_cuts() {
     let break_even = StreamHarness::new(&catalog, enclosures, &cfg).break_even();
     let recs = trigger_trace(100_000, &[]);
 
-    let single = drive(
-        OnlineController::new(policy, break_even),
-        &recs,
-        &catalog,
-        enclosures,
-        &cfg,
-    );
+    let single = drive(1, &recs, &catalog, enclosures, &cfg, policy);
     let cuts = single
         .iter()
         .filter(|e| e.reason == RolloverReason::Trigger)
@@ -654,13 +501,7 @@ fn worker_panic_during_in_flight_cut_keeps_plans_identical() {
     let break_even = StreamHarness::new(&catalog, enclosures, &cfg).break_even();
     let recs = trigger_trace(100_000, &[]);
 
-    let single = drive(
-        OnlineController::new(policy, break_even),
-        &recs,
-        &catalog,
-        enclosures,
-        &cfg,
-    );
+    let single = drive(1, &recs, &catalog, enclosures, &cfg, policy);
     for shards in [2usize, 4] {
         // Records each shard folds before the first 60 s boundary; the
         // panic fires on the last one, i.e. inside the batch the cut's
