@@ -31,13 +31,15 @@ echo "== cargo test (forced-SWAR scan kernels) =="
 # pass byte-for-byte with the fallback kernels selected.
 EES_SCAN_ISA=swar cargo test -p ees-iotrace -q
 
-echo "== cargo test --release (core, simulator and replay arithmetic) =="
+echo "== cargo test --release (core, simulator, replay, ingest arithmetic) =="
 # Release builds wrap integer overflow and compile out debug_assert!, so
 # the storage simulator's index arithmetic (masked wrapping_sub probe
-# distances, u32 slot ids), the replay harness on top of it, and the
-# planner's id-indexed period close (with the core proptests) also run
-# under the release profile.
-cargo test --release -q -p ees-core -p ees-simstorage -p ees-replay
+# distances, u32 slot ids), the replay harness on top of it, the
+# planner's id-indexed period close (with the core proptests), the
+# NDJSON fast path's checked digit folds (proptested against the
+# general grammar) and the ingest sink's delivery-cap arithmetic also
+# run under the release profile.
+cargo test --release -q -p ees-core -p ees-simstorage -p ees-replay -p ees-iotrace -p ees-online
 
 echo "== cargo build --release =="
 cargo build --release --workspace

@@ -78,6 +78,31 @@ impl From<std::io::Error> for CliError {
     }
 }
 
+/// Largest `--queue`, in events. A full reader queue grows each
+/// delivery to `batch × min(capacity, 16)` records and holds at most
+/// `capacity + 1` of them (`capacity` = ⌈queue / batch⌉ deliveries):
+/// under 18.2 × `--queue` records for any `--batch`, so at this ceiling
+/// at most 19.0M records (608 MB; worst at `--batch 69905`), plus the
+/// channel's own ≤ 2^20 slots (34 MB at `--batch 1`).
+const MAX_QUEUE: usize = 1 << 20;
+
+/// Largest `--shards`, `--readers` and `--conns`: each is a count of
+/// threads the run starts.
+const MAX_THREADS: usize = 64;
+
+/// Parses a thread-count flag's value, refusing one above [`MAX_THREADS`].
+fn thread_count(name: &str, value: String) -> Result<usize, CliError> {
+    let n: usize = value
+        .parse()
+        .map_err(|_| CliError::Usage(format!("{name} expects an integer")))?;
+    if n > MAX_THREADS {
+        return Err(CliError::Usage(format!(
+            "{name} {n} is above the ceiling of {MAX_THREADS}"
+        )));
+    }
+    Ok(n)
+}
+
 /// Common flags shared by the generating subcommands.
 struct Flags {
     scale: f64,
@@ -177,24 +202,11 @@ impl Flags {
                         .max(1)
                 }
                 "--drop-newest" => flags.drop_newest = true,
-                "--shards" => {
-                    flags.shards = take("--shards")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("--shards expects an integer".into()))?
-                }
-                "--readers" => {
-                    flags.readers = take("--readers")?
-                        .parse()
-                        .map_err(|_| CliError::Usage("--readers expects an integer".into()))?
-                }
+                "--shards" => flags.shards = thread_count("--shards", take("--shards")?)?,
+                "--readers" => flags.readers = thread_count("--readers", take("--readers")?)?,
                 "--checkpoint" => flags.checkpoint = Some(PathBuf::from(take("--checkpoint")?)),
                 "--listen" => flags.listen = Some(take("--listen")?),
-                "--conns" => {
-                    flags.conns = take("--conns")?
-                        .parse::<usize>()
-                        .map_err(|_| CliError::Usage("--conns expects an integer".into()))?
-                        .max(1)
-                }
+                "--conns" => flags.conns = thread_count("--conns", take("--conns")?)?.max(1),
                 // Test-only fault hook: quarantine shard SHARD at its
                 // EVENT-th folded record, to exercise the end-of-stream
                 // health check without a real crash.
@@ -253,6 +265,20 @@ impl Flags {
                 }
                 other => positional.push(other.to_string()),
             }
+        }
+        // Both size allocations up front (the reader channel, its
+        // deliveries), so out-of-range values are refused here.
+        if flags.queue > MAX_QUEUE {
+            return Err(CliError::Usage(format!(
+                "--queue {} is above the ceiling of {MAX_QUEUE} events",
+                flags.queue
+            )));
+        }
+        if flags.batch > flags.queue {
+            return Err(CliError::Usage(format!(
+                "--batch {} is larger than --queue {}",
+                flags.batch, flags.queue
+            )));
         }
         Ok((positional, flags))
     }
@@ -1100,6 +1126,44 @@ mod tests {
             run_to_string(&["gen", "tpcc", "--scale"]),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_queue_batch_and_thread_counts_are_usage_errors() {
+        // Parser-only: none of these values may reach an allocation or
+        // a thread spawn.
+        let parse = |args: &[&str]| {
+            Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).map(|_| ())
+        };
+        let refused = [
+            vec!["--queue", "100000000000", "--batch", "1"],
+            vec!["--queue", "1048577"],
+            vec!["--batch", "100000000000"],
+            vec!["--batch", "2048"],
+            vec!["--queue", "64", "--batch", "65"],
+            vec!["--batch", "65", "--queue", "64"],
+            vec!["--queue", "0"],
+            vec!["--shards", "65"],
+            vec!["--readers", "65"],
+            vec!["--conns", "65"],
+            vec!["--shards", "18446744073709551615"],
+        ];
+        for args in refused {
+            let err = parse(&args).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert!(err.to_string().contains(args[0]), "{args:?}: {err}");
+        }
+        let accepted = [
+            vec!["--queue", "1048576", "--batch", "1"],
+            vec!["--queue", "1048576", "--batch", "1048576"],
+            vec!["--queue", "64", "--batch", "64"],
+            vec!["--batch", "0"],
+            vec!["--shards", "64", "--readers", "64", "--conns", "64"],
+            vec!["--shards", "0", "--readers", "0", "--conns", "0"],
+        ];
+        for args in accepted {
+            assert!(parse(&args).is_ok(), "{args:?}");
+        }
     }
 
     #[test]

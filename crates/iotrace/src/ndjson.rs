@@ -339,7 +339,68 @@ fn resolve<'a>(raw: &'a str, has_escape: bool) -> Result<Cow<'a, str>, String> {
 /// still validated). Duplicate keys keep the **first** occurrence —
 /// later duplicates are validated syntactically and then skipped like
 /// unknown fields (property-tested in `tests/ndjson_prop.rs`).
+///
+/// A line in exactly the layout [`format_event`] writes takes a
+/// byte-for-byte match first; every other line, and every line that
+/// match cannot take whole (a number past its range included), goes to
+/// the general grammar, which words every error. Both give the same
+/// result on every input (property-tested in this module).
 pub fn parse_event_borrowed(line: &str) -> Result<LogicalIoRecord, String> {
+    match parse_canonical(line.as_bytes()) {
+        Some(rec) => Ok(rec),
+        None => parse_general(line),
+    }
+}
+
+/// The layout [`format_event`] writes, matched byte for byte:
+/// `{"ts":N,"item":N,"offset":N,"len":N,"kind":"Read"|"Write"}`, no
+/// whitespace, each number a run of ASCII digits folded with overflow
+/// checks. `None` hands the line to [`parse_general`]: another layout,
+/// an overflow, or an `item`/`len` past `u32`.
+#[inline]
+fn parse_canonical(b: &[u8]) -> Option<LogicalIoRecord> {
+    let (ts, b) = field(b, b"{\"ts\":")?;
+    let (item, b) = field(b, b",\"item\":")?;
+    let (offset, b) = field(b, b",\"offset\":")?;
+    let (len, b) = field(b, b",\"len\":")?;
+    let kind = match b {
+        b",\"kind\":\"Read\"}" => IoKind::Read,
+        b",\"kind\":\"Write\"}" => IoKind::Write,
+        _ => return None,
+    };
+    Some(LogicalIoRecord {
+        ts: Micros(ts),
+        item: DataItemId(u32::try_from(item).ok()?),
+        offset,
+        len: u32::try_from(len).ok()?,
+        kind,
+    })
+}
+
+/// Strips `key` off `b`, then folds the digit run after it: the value
+/// and the bytes past it, or `None` on a mismatch, an empty run, or a
+/// `u64` overflow.
+#[inline]
+fn field<'a>(b: &'a [u8], key: &[u8]) -> Option<(u64, &'a [u8])> {
+    let b = b.strip_prefix(key)?;
+    let run = b
+        .iter()
+        .position(|d| !d.is_ascii_digit())
+        .unwrap_or(b.len());
+    if run == 0 {
+        return None;
+    }
+    let mut n = 0u64;
+    for &d in &b[..run] {
+        n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+    }
+    Some((n, &b[run..]))
+}
+
+/// The general event grammar behind [`parse_event_borrowed`]: any field
+/// order, whitespace, unknown and duplicate fields, escapes, and the
+/// text of every parse error.
+fn parse_general(line: &str) -> Result<LogicalIoRecord, String> {
     let b = line.as_bytes();
     let mut i = 0usize;
     skip_ws(b, &mut i);
@@ -724,6 +785,7 @@ pub fn read_jsonl<R: BufRead>(r: R) -> std::io::Result<LogicalTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn jsonl_roundtrip() {
@@ -1048,6 +1110,116 @@ mod tests {
             if let (Ok(a), Ok(b)) = (&new, &old) {
                 assert_eq!(a, b, "records diverge on {line:?}");
             }
+        }
+    }
+
+    #[test]
+    fn canonical_match_takes_exactly_the_written_layout() {
+        let edges = [
+            rec2(0, 0, 0, 0, IoKind::Read),
+            rec2(u64::MAX, u32::MAX, u64::MAX, u32::MAX, IoKind::Write),
+            rec2(1_000_000, 7, 8192, 4096, IoKind::Read),
+        ];
+        for r in edges {
+            assert_eq!(parse_canonical(format_event(&r).as_bytes()), Some(r));
+        }
+        // Leading zeros fold like the general grammar's digit runs.
+        assert_eq!(
+            parse_canonical(br#"{"ts":007,"item":00,"offset":0,"len":01,"kind":"Read"}"#),
+            Some(rec2(7, 0, 0, 1, IoKind::Read))
+        );
+        // Everything else is the general grammar's to parse or word.
+        for other in [
+            r#"{"ts":18446744073709551616,"item":1,"offset":0,"len":1,"kind":"Read"}"#,
+            r#"{"ts":1,"item":4294967296,"offset":0,"len":1,"kind":"Read"}"#,
+            r#"{"ts":1,"item":1,"offset":0,"len":4294967296,"kind":"Read"}"#,
+            r#"{"ts":1,"item":1,"offset":0,"len":1,"kind":"Read"} "#,
+            r#"{"ts": 1,"item":1,"offset":0,"len":1,"kind":"Read"}"#,
+            r#"{"ts":,"item":1,"offset":0,"len":1,"kind":"Read"}"#,
+            r#"{"item":1,"ts":1,"offset":0,"len":1,"kind":"Read"}"#,
+            r#"{"ts":1,"item":1,"offset":0,"len":1,"kind":"Scan"}"#,
+            r#"{"ts":1,"item":1,"offset":0,"len":1,"kind":"Read","x":1}"#,
+            r#"{"ts":1,"item":1,"offset":0,"len":1,"kind":"Read"}}"#,
+        ] {
+            assert_eq!(parse_canonical(other.as_bytes()), None, "{other}");
+        }
+    }
+
+    /// Digit spellings at the edges of the `u32` and `u64` ranges, with
+    /// a few arbitrary values between.
+    fn edge_number() -> impl Strategy<Value = String> {
+        prop_oneof![
+            3 => any::<u64>().prop_map(|n| n.to_string()),
+            2 => any::<u32>().prop_map(|n| n.to_string()),
+            1 => (0u64..20).prop_map(|n| n.to_string()),
+            1 => prop::sample::select(vec![
+                u32::MAX.to_string(),
+                (u64::from(u32::MAX) + 1).to_string(),
+                u64::MAX.to_string(),
+                (u64::MAX - 1).to_string(),
+                "18446744073709551616".to_string(), // u64::MAX + 1
+                "99999999999999999999".to_string(),
+            ]),
+        ]
+    }
+
+    /// One byte edit: 0 inserts, 1 deletes, 2 substitutes, at a position
+    /// taken modulo the line length; the byte is drawn mostly from the
+    /// grammar's own alphabet.
+    fn edit() -> impl Strategy<Value = (u8, usize, u8)> {
+        let byte = prop_oneof![
+            3 => prop::sample::select(b"0123456789{}\":,. \t\\-eiklnorstuxRW".to_vec()),
+            1 => any::<u8>(),
+        ];
+        (0u8..3, 0usize..256, byte)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Arbitrary bytes: no panic, and exactly the general grammar's
+        /// record or error text.
+        #[test]
+        fn fast_path_agrees_with_the_general_grammar_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let line = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(parse_event_borrowed(&line), parse_general(&line));
+        }
+
+        /// Written-layout lines at the number edges, with leading zeros,
+        /// then up to three byte edits: the same `Ok` record or the same
+        /// `Err` text as the general grammar.
+        #[test]
+        fn fast_path_agrees_with_the_general_grammar_on_edited_lines(
+            numbers in (edge_number(), edge_number(), edge_number(), edge_number()),
+            zeros in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+            write in any::<bool>(),
+            edits in prop::collection::vec(edit(), 0..4),
+        ) {
+            let z = |n: usize, v: &str| format!("{}{v}", "0".repeat(n));
+            let mut bytes = format!(
+                "{{\"ts\":{},\"item\":{},\"offset\":{},\"len\":{},\"kind\":\"{}\"}}",
+                z(zeros.0, &numbers.0),
+                z(zeros.1, &numbers.1),
+                z(zeros.2, &numbers.2),
+                z(zeros.3, &numbers.3),
+                if write { "Write" } else { "Read" },
+            )
+            .into_bytes();
+            for (op, at, byte) in edits {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    0 => bytes.insert(at, byte),
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ if at < bytes.len() => bytes[at] = byte,
+                    _ => bytes.push(byte),
+                }
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(parse_event_borrowed(&line), parse_general(&line));
         }
     }
 

@@ -216,27 +216,45 @@ pub type PooledReader = (
     JoinHandle<std::io::Result<IngestStats>>,
 );
 
+/// The most batches one delivery grows to under `Block` backpressure:
+/// at the CLI defaults (`--queue 1024 --batch 64`, a queue of 16
+/// deliveries) one grown delivery holds the whole queue.
+const GROWTH_BATCHES: usize = 16;
+
 /// The producer half of a bounded batch queue, shared by the file
 /// sequencer and the `--listen` merger. It batches records, delivers
-/// full batches under the [`OverflowPolicy`], refills recycled buffers,
-/// and keeps the accounting exact: every record pushed ends up in
-/// exactly one counter — accepted once its batch is in the queue;
-/// dropped on overflow, on consumer hang-up (the in-flight batch), or
-/// when a stream error strands the partial batch.
+/// them under the [`OverflowPolicy`], refills recycled buffers, and
+/// keeps the accounting exact: every record pushed ends up in exactly
+/// one counter — accepted once its delivery is in the queue; dropped on
+/// overflow, on consumer hang-up (the pending delivery), or when a
+/// stream error strands the pending delivery.
+///
+/// A delivery is `batch` records while the consumer keeps up. Under
+/// [`OverflowPolicy::Block`] a full queue does not park the producer
+/// at once: it keeps filling the pending delivery, offers it again at
+/// each further multiple of `batch`, and blocks only once the delivery
+/// holds `cap = batch × min(capacity, 16)` records. One wake-up then
+/// moves up to `cap` records instead of `batch`. At most
+/// `(capacity + 1) × cap` records wait in the queue and the pending
+/// delivery (17,408 records, 557 KB, at the CLI defaults).
 pub(crate) struct BatchSink {
     tx: SyncSender<Vec<LogicalIoRecord>>,
     returns: Receiver<Vec<LogicalIoRecord>>,
     live: Arc<IngestCounters>,
     batch: usize,
+    /// Most records one `Block` delivery holds before a blocking send.
+    cap: usize,
+    /// Pending length at which delivery is next attempted.
+    due: usize,
     policy: OverflowPolicy,
     buf: Vec<LogicalIoRecord>,
     hung_up: bool,
 }
 
 impl BatchSink {
-    /// Opens a queue of `capacity` batches of up to `batch` records:
-    /// the producer's sink, then the consumer's receiver, recycle pool,
-    /// and live counters.
+    /// Opens a queue of `capacity` deliveries of `batch` records or more
+    /// (up to the cap): the producer's sink, then the consumer's
+    /// receiver, recycle pool, and live counters.
     pub(crate) fn open(
         capacity: usize,
         batch: usize,
@@ -247,8 +265,9 @@ impl BatchSink {
         BatchPool,
         Arc<IngestCounters>,
     ) {
+        let capacity = capacity.max(1);
         let batch = batch.max(1);
-        let (tx, rx) = sync_channel(capacity.max(1));
+        let (tx, rx) = sync_channel(capacity);
         let (return_tx, returns) = channel();
         let live = Arc::new(IngestCounters::default());
         let sink = BatchSink {
@@ -256,6 +275,8 @@ impl BatchSink {
             returns,
             live: Arc::clone(&live),
             batch,
+            cap: batch.saturating_mul(capacity.min(GROWTH_BATCHES)),
+            due: batch,
             policy,
             buf: Vec::with_capacity(batch),
             hung_up: false,
@@ -263,13 +284,13 @@ impl BatchSink {
         (sink, rx, BatchPool { returns: return_tx }, live)
     }
 
-    /// Queues one record, delivering the batch once it is full. `false`
-    /// once the consumer has hung up: the caller stops producing and
-    /// [`discards`](Self::discard) what it already pulled.
+    /// Queues one record, attempting delivery at each multiple of
+    /// `batch`. `false` once the consumer has hung up: the caller stops
+    /// producing and [`discards`](Self::discard) what it already pulled.
     pub(crate) fn push(&mut self, rec: LogicalIoRecord) -> bool {
         self.buf.push(rec);
-        if self.buf.len() >= self.batch {
-            self.flush();
+        if self.buf.len() >= self.due {
+            self.deliver(false);
         }
         !self.hung_up
     }
@@ -280,7 +301,11 @@ impl BatchSink {
         self.live.dropped.fetch_add(n, Ordering::Relaxed);
     }
 
-    fn flush(&mut self) {
+    /// Attempts delivery of the pending records: a blocking send under
+    /// `Block` once the delivery has reached its cap (or the stream
+    /// ends, `last`), otherwise a `try_send`. A full queue drops the
+    /// delivery under `DropNewest` and keeps it growing under `Block`.
+    fn deliver(&mut self, last: bool) {
         if self.buf.is_empty() {
             return;
         }
@@ -291,29 +316,40 @@ impl BatchSink {
             return;
         }
         let full = std::mem::take(&mut self.buf);
-        let sent = match self.policy {
-            OverflowPolicy::Block => self.tx.send(full).map_err(|_| None),
-            OverflowPolicy::DropNewest => self.tx.try_send(full).map_err(|e| match e {
+        let blocking = self.policy == OverflowPolicy::Block && (last || full.len() >= self.cap);
+        let sent = if blocking {
+            self.tx.send(full).map_err(|_| None)
+        } else {
+            self.tx.try_send(full).map_err(|e| match e {
                 TrySendError::Full(rejected) => Some(rejected),
                 TrySendError::Disconnected(_) => None,
-            }),
+            })
         };
         match sent {
             Ok(()) => {
                 self.live.accepted.fetch_add(n, Ordering::Relaxed);
             }
-            // Overflow: the rejected buffer comes straight back — reuse
-            // it as the next batch.
-            Err(Some(mut rejected)) => {
-                rejected.clear();
-                self.buf = rejected;
-                self.discard(n);
-            }
+            // Queue full: the rejected buffer comes straight back.
+            Err(Some(mut rejected)) => match self.policy {
+                // Keep it growing; offer it again one batch later.
+                OverflowPolicy::Block => {
+                    self.buf = rejected;
+                    self.due = self.buf.len().saturating_add(self.batch);
+                    return;
+                }
+                // Overflow: reuse it as the next batch.
+                OverflowPolicy::DropNewest => {
+                    rejected.clear();
+                    self.buf = rejected;
+                    self.discard(n);
+                }
+            },
             Err(None) => {
                 self.hung_up = true;
                 self.discard(n);
             }
         }
+        self.due = self.batch;
         if self.buf.capacity() == 0 {
             self.buf = match self.returns.try_recv() {
                 Ok(mut recycled) => {
@@ -326,14 +362,14 @@ impl BatchSink {
         }
     }
 
-    /// Ends the stream cleanly: delivers the partial batch and returns
+    /// Ends the stream cleanly: delivers the pending records and returns
     /// the final counters.
     pub(crate) fn finish(mut self) -> IngestStats {
-        self.flush();
+        self.deliver(true);
         self.live.snapshot()
     }
 
-    /// Ends the stream on `err`: the partial batch dies with it and
+    /// Ends the stream on `err`: the pending delivery dies with it and
     /// counts dropped.
     pub(crate) fn fail(self, err: std::io::Error) -> std::io::Error {
         self.discard(self.buf.len() as u64);
@@ -344,13 +380,22 @@ impl BatchSink {
 /// Spawns the reader over any byte stream: the parallel front end parses
 /// on `readers` threads (`1` is a single parser thread; `0` is clamped
 /// to it), and the spawned thread re-sequences the chunks and feeds a
-/// queue of `capacity` batches of up to `batch` records under `policy`.
+/// queue of `capacity` deliveries under `policy`.
 /// Delivery is in exact stream order, a parse failure surfaces as the
 /// serial reader's `line N: …` (or `record N: …`) error, and transient
 /// `WouldBlock`/`TimedOut` reads are retried ([`RetryingReader`]).
 /// `chunk_bytes == 0` selects the default chunk target.
 ///
-/// Under [`OverflowPolicy::DropNewest`] a rejected batch counts
+/// A delivery is `batch` records while the consumer keeps up. Under
+/// [`OverflowPolicy::Block`] backpressure it grows, in steps of `batch`,
+/// up to `batch × min(capacity, 16)` records before the reader parks, so
+/// a full queue costs one wake-up per grown delivery, not one per batch.
+/// At most `capacity + 1` such deliveries wait, queued or pending:
+/// 17,408 records (557 KB) at `ees online`'s defaults (`capacity` 16,
+/// `batch` 64).
+///
+/// Under [`OverflowPolicy::DropNewest`] deliveries stay `batch` records
+/// and a rejected batch counts
 /// `batch.len()` dropped **events** (not one dropped batch); a partial
 /// batch at end of stream is flushed; on consumer hang-up every record
 /// the sequencer already pulled counts dropped, so
@@ -384,7 +429,8 @@ where
 /// derefs to `[u8]`, typically an [`Mmap`](ees_iotrace::mmap::Mmap) —
 /// so the splitter hands parser threads borrowed chunks (or framed
 /// binary blocks) straight out of the mapping, zero-copy. Semantics,
-/// ordering, and accounting are identical to the streamed variant.
+/// ordering, delivery sizes, and accounting are identical to the
+/// streamed variant.
 pub fn spawn_reader_parallel_mapped<B>(
     bytes: B,
     capacity: usize,
@@ -441,6 +487,7 @@ mod tests {
     use super::*;
     use ees_iotrace::ndjson::EventReader;
     use std::io::Cursor;
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn line(ts: u64) -> String {
         format!("{{\"ts\":{ts},\"item\":1,\"offset\":0,\"len\":4096,\"kind\":\"Read\"}}\n")
@@ -455,6 +502,115 @@ mod tests {
         policy: OverflowPolicy,
     ) -> PooledReader {
         spawn_reader_parallel(input, capacity, batch, policy, 1, 0)
+    }
+
+    /// Record `i` of a sink test: its timestamp names its position.
+    fn nth(i: u64) -> LogicalIoRecord {
+        LogicalIoRecord {
+            ts: ees_iotrace::Micros(i),
+            item: ees_iotrace::DataItemId(1),
+            offset: 0,
+            len: 4096,
+            kind: ees_iotrace::IoKind::Read,
+        }
+    }
+
+    /// Pushes records `range` into `sink` on a helper thread and hands
+    /// the sink back, failing the test if the pushes park: a push that
+    /// waits on a full queue never returns.
+    fn push_without_blocking(mut sink: BatchSink, range: std::ops::Range<u64>) -> BatchSink {
+        let (done_tx, done_rx) = channel();
+        let pusher = std::thread::spawn(move || {
+            for i in range {
+                assert!(sink.push(nth(i)), "consumer still attached");
+            }
+            done_tx.send(sink).ok();
+        });
+        match done_rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(sink) => {
+                pusher.join().expect("the pusher returned the sink");
+                sink
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("a push parked on the full queue"),
+            Err(RecvTimeoutError::Disconnected) => {
+                panic!("the pusher panicked: {:?}", pusher.join().err())
+            }
+        }
+    }
+
+    fn timestamps(delivery: &[LogicalIoRecord]) -> Vec<u64> {
+        delivery.iter().map(|r| r.ts.0).collect()
+    }
+
+    #[test]
+    fn blocked_sink_grows_the_pending_delivery_up_to_its_cap() {
+        // Capacity 3, batch 4: the cap is 12 records. The test holds the
+        // receiver and drains only where it says so, so every try and
+        // every blocking send below is forced.
+        let (sink, rx, _pool, live) = BatchSink::open(3, 4, OverflowPolicy::Block);
+        // Three batches fill the queue; 7 more records past it park
+        // nothing (tried at 4, full), and the next try is due at 8.
+        let sink = push_without_blocking(sink, 0..19);
+        assert_eq!(live.accepted(), 12);
+        // One slot frees: the try due at 8 records succeeds with a
+        // delivery of 8, between the batch and the cap.
+        assert_eq!(timestamps(&rx.recv().unwrap()), (0..4).collect::<Vec<_>>());
+        let sink = push_without_blocking(sink, 19..20);
+        assert_eq!(live.accepted(), 20);
+        // Queue full again: 11 more records grow the next delivery
+        // without parking. The 12th reaches the cap, so it may only go
+        // in once a slot is free.
+        let mut sink = push_without_blocking(sink, 20..31);
+        assert_eq!(live.accepted(), 20);
+        assert_eq!(timestamps(&rx.recv().unwrap()), (4..8).collect::<Vec<_>>());
+        assert!(sink.push(nth(31)));
+        assert_eq!(live.accepted(), 32);
+        let sink = push_without_blocking(sink, 32..35);
+        assert_eq!(timestamps(&rx.recv().unwrap()), (8..12).collect::<Vec<_>>());
+        let stats = sink.finish();
+        let rest: Vec<Vec<LogicalIoRecord>> = rx.iter().collect();
+        let sizes: Vec<usize> = rest.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [8, 12, 3], "grown deliveries, then the tail");
+        // Exact order, nothing lost or repeated.
+        let tail: Vec<u64> = rest.iter().flat_map(|d| timestamps(d)).collect();
+        assert_eq!(tail, (12..35).collect::<Vec<_>>());
+        assert_eq!(
+            stats,
+            IngestStats {
+                accepted: 35,
+                dropped: 0
+            }
+        );
+    }
+
+    #[test]
+    fn hang_up_with_a_grown_delivery_pending_counts_every_record() {
+        // Queue of 2 full, 6 records pending (grown past the batch of 4)
+        // when the consumer hangs up: the next try finds it gone.
+        let (sink, rx, _pool, live) = BatchSink::open(2, 4, OverflowPolicy::Block);
+        let mut sink = push_without_blocking(sink, 0..14);
+        drop(rx);
+        let mut pushed = 14;
+        while sink.push(nth(pushed)) {
+            pushed += 1;
+        }
+        pushed += 1; // the push that reported the hang-up
+        let stats = sink.finish();
+        assert_eq!(stats.accepted, 8);
+        assert_eq!(stats.accepted + stats.dropped, pushed);
+        assert_eq!(live.snapshot(), stats);
+    }
+
+    #[test]
+    fn stream_error_with_a_grown_delivery_pending_drops_it() {
+        let (sink, rx, _pool, live) = BatchSink::open(2, 4, OverflowPolicy::Block);
+        let sink = push_without_blocking(sink, 0..14);
+        let err = sink.fail(std::io::Error::other("line 15: bad"));
+        assert_eq!(err.to_string(), "line 15: bad");
+        assert_eq!(live.accepted(), 8);
+        assert_eq!(live.dropped(), 6, "the grown delivery dies with the stream");
+        let delivered: Vec<u64> = rx.iter().flat_map(|d| timestamps(&d)).collect();
+        assert_eq!(delivered, (0..8).collect::<Vec<_>>());
     }
 
     #[test]

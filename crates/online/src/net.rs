@@ -114,9 +114,12 @@ pub struct NetOptions {
     /// all of them are attached (watermark correctness) and the listener
     /// closes after the last accept.
     pub conns: usize,
-    /// Merged-output queue depth, in batches.
+    /// Merged-output queue depth, in deliveries.
     pub capacity: usize,
-    /// Records per delivered batch.
+    /// Records per delivery while the consumer keeps up; a full queue
+    /// grows deliveries up to `batch × min(capacity, 16)` records, as
+    /// the file front end does
+    /// ([`spawn_reader_parallel`](crate::spawn_reader_parallel)).
     pub batch: usize,
     /// Whether names outside the interner's existing binds may allocate
     /// fresh dense ids. The daemon CLI passes `false` — its storage
