@@ -36,9 +36,10 @@ echo "== cargo test --release (core, simulator, replay, ingest arithmetic) =="
 # the storage simulator's index arithmetic (masked wrapping_sub probe
 # distances, u32 slot ids), the replay harness on top of it, the
 # planner's id-indexed period close (with the core proptests), the
-# NDJSON fast path's checked digit folds (proptested against the
-# general grammar) and the ingest sink's delivery-cap arithmetic also
-# run under the release profile.
+# NDJSON fast path's digit folds (unchecked up to 19 digits, checked
+# beyond; proptested against the general grammar and, through
+# `parse_lines`, against the per-line path) and the ingest sink's
+# delivery-cap arithmetic also run under the release profile.
 cargo test --release -q -p ees-core -p ees-simstorage -p ees-replay -p ees-iotrace -p ees-online
 
 echo "== cargo build --release =="
@@ -66,6 +67,43 @@ grep -q '"mode": "online"' "$SMOKE_DIR/online.json"
 grep -q '"reason":"boundary"' "$SMOKE_DIR/online.json" \
     || { echo "online smoke: no plan emitted"; exit 1; }
 echo "online smoke OK"
+
+echo "== sharded online byte-identity (cloud-block; 1, 2, 4 shards; fresh and resumed) =="
+# A 60 s-period cloud-block trace dense enough that at 4 shards every
+# shard ships at least three full 1,024-record batches in every period
+# (850k records, 7 plans), so the shard hand-off, the supervision
+# journal and the cut all run on full batches. `ees online --json
+# --checkpoint` runs it at 1, 2 and 4 shards, fresh and resumed from
+# the checkpoint a run over the trace's first third leaves. Every shard
+# count must print the same plan lines and leave the same final
+# checkpoint bytes; a resumed run must print the fresh run's last plans
+# and end in its checkpoint.
+ID_DIR="$SMOKE_DIR/identity"
+mkdir -p "$ID_DIR"
+ees() { cargo run --release -q -p ees-cli --bin ees -- "$@"; }
+ees gen cloudblock --scale 0.03 --volumes 10000 --seed 1 --out "$ID_DIR" >/dev/null
+TRACE="$ID_DIR/cloudblock.trace.jsonl"
+ITEMS="$ID_DIR/cloudblock.items.json"
+head -n "$(( $(wc -l < "$TRACE") / 3 ))" "$TRACE" > "$ID_DIR/prefix.jsonl"
+for SHARDS in 1 2 4; do
+    ees online "$TRACE" "$ITEMS" --period 60 --shards "$SHARDS" --json \
+        --checkpoint "$ID_DIR/fresh-$SHARDS.ckpt" | grep '"reason"' > "$ID_DIR/fresh-$SHARDS.plans"
+    ees online "$ID_DIR/prefix.jsonl" "$ITEMS" --period 60 --shards "$SHARDS" --json \
+        --checkpoint "$ID_DIR/resumed-$SHARDS.ckpt" >/dev/null
+    ees online "$TRACE" "$ITEMS" --period 60 --shards "$SHARDS" --json \
+        --checkpoint "$ID_DIR/resumed-$SHARDS.ckpt" | grep '"reason"' > "$ID_DIR/resumed-$SHARDS.plans"
+done
+for RUN in fresh-2 fresh-4 resumed-1 resumed-2 resumed-4; do
+    cmp "$ID_DIR/fresh-1.ckpt" "$ID_DIR/$RUN.ckpt"
+done
+cmp "$ID_DIR/fresh-1.plans" "$ID_DIR/fresh-2.plans"
+cmp "$ID_DIR/fresh-1.plans" "$ID_DIR/fresh-4.plans"
+RESUMED_PLANS="$(wc -l < "$ID_DIR/resumed-1.plans")"
+[ "$RESUMED_PLANS" -gt 0 ] || { echo "byte-identity: the resumed run emitted no plan"; exit 1; }
+for SHARDS in 1 2 4; do
+    tail -n "$RESUMED_PLANS" "$ID_DIR/fresh-1.plans" | cmp - "$ID_DIR/resumed-$SHARDS.plans"
+done
+echo "sharded byte-identity OK ($(wc -l < "$ID_DIR/fresh-1.plans") plans, $RESUMED_PLANS after the resume)"
 
 echo "== online throughput smoke (100k events -> BENCH_online.json) =="
 # Times the serial monitor driver against the sharded one (parallel

@@ -86,6 +86,12 @@ impl From<std::io::Error> for CliError {
 /// channel's own ≤ 2^20 slots (34 MB at `--batch 1`).
 const MAX_QUEUE: usize = 1 << 20;
 
+/// Deepest shard channel, in batches: the depth the `--queue`/`--batch`
+/// defaults derive. std's `sync_channel` allocates every slot up front,
+/// so an unclamped ⌈queue / batch⌉ would ask for 2^20 slots (~58 MB)
+/// per shard at `--queue 1048576 --batch 1`.
+const MAX_SHARD_QUEUE: usize = 16;
+
 /// Largest `--shards`, `--readers` and `--conns`: each is a count of
 /// threads the run starts.
 const MAX_THREADS: usize = 64;
@@ -281,6 +287,13 @@ impl Flags {
             )));
         }
         Ok((positional, flags))
+    }
+
+    /// Each shard channel's depth in batches: the reader queue's
+    /// ⌈queue / batch⌉, at least double-buffered and at most
+    /// [`MAX_SHARD_QUEUE`].
+    fn shard_queue(&self) -> usize {
+        self.queue.div_ceil(self.batch).clamp(2, MAX_SHARD_QUEUE)
     }
 }
 
@@ -627,12 +640,12 @@ fn online(pos: &[String], flags: &Flags, out: &mut dyn std::io::Write) -> Result
     // checkpoint at every plan rollover and at end of stream.
     // `--queue`/`--batch` size both transports: the reader channel gets
     // `queue` events in `batch`-record deliveries, and each shard's
-    // channel gets the matching depth in batches (at least
-    // double-buffered).
+    // channel gets the matching depth in batches, clamped
+    // (`Flags::shard_queue`).
     // `--readers 0` (the default) sizes the parse pool at one reader per
     // shard; `--readers 1` is a single parser thread.
     let mut shard_options = ShardOptions {
-        queue: flags.queue.div_ceil(flags.batch).max(2),
+        queue: flags.shard_queue(),
         readers: flags.readers,
         ..ShardOptions::default()
     };
@@ -1164,6 +1177,21 @@ mod tests {
         for args in accepted {
             assert!(parse(&args).is_ok(), "{args:?}");
         }
+    }
+
+    #[test]
+    fn shard_channel_depth_is_clamped_at_the_default() {
+        // Parser-only, like the test above: no channel is built.
+        let depth = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            Flags::parse(&args).unwrap().1.shard_queue()
+        };
+        assert_eq!(depth(&[]), MAX_SHARD_QUEUE, "the defaults derive the cap");
+        assert_eq!(depth(&["--queue", "1048576", "--batch", "1"]), 16);
+        assert_eq!(depth(&["--queue", "1048576", "--batch", "0"]), 16);
+        assert_eq!(depth(&["--queue", "1048576", "--batch", "1048576"]), 2);
+        assert_eq!(depth(&["--queue", "64", "--batch", "64"]), 2);
+        assert_eq!(depth(&["--queue", "512", "--batch", "64"]), 8);
     }
 
     #[test]

@@ -352,13 +352,18 @@ pub fn parse_event_borrowed(line: &str) -> Result<LogicalIoRecord, String> {
     }
 }
 
-/// The layout [`format_event`] writes, matched byte for byte:
-/// `{"ts":N,"item":N,"offset":N,"len":N,"kind":"Read"|"Write"}`, no
-/// whitespace, each number a run of ASCII digits folded with overflow
-/// checks. `None` hands the line to [`parse_general`]: another layout,
-/// an overflow, or an `item`/`len` past `u32`.
+/// The layout [`format_event`] writes, matched byte for byte on a raw
+/// line: `{"ts":N,"item":N,"offset":N,"len":N,"kind":"Read"|"Write"}`,
+/// no whitespace, each number a run of ASCII digits. `None` leaves the
+/// line to [`parse_event_borrowed`]: another layout, an overflow, or an
+/// `item`/`len` past `u32`.
+///
+/// A line it takes is ASCII, starts with `{` and ends with `}`, so a
+/// caller may try it before any UTF-8 check or trim: both would pass
+/// the line unchanged, and [`parse_event_borrowed`] gives the same
+/// record.
 #[inline]
-fn parse_canonical(b: &[u8]) -> Option<LogicalIoRecord> {
+pub fn parse_canonical(b: &[u8]) -> Option<LogicalIoRecord> {
     let (ts, b) = field(b, b"{\"ts\":")?;
     let (item, b) = field(b, b",\"item\":")?;
     let (offset, b) = field(b, b",\"offset\":")?;
@@ -377,9 +382,14 @@ fn parse_canonical(b: &[u8]) -> Option<LogicalIoRecord> {
     })
 }
 
+/// Longest digit run folded without overflow checks: 19 nines are
+/// below `u64::MAX`, which has 20 digits.
+const UNCHECKED_DIGITS: usize = 19;
+
 /// Strips `key` off `b`, then folds the digit run after it: the value
 /// and the bytes past it, or `None` on a mismatch, an empty run, or a
-/// `u64` overflow.
+/// `u64` overflow. Only a run longer than [`UNCHECKED_DIGITS`] can
+/// overflow, so only such a run is folded with checks.
 #[inline]
 fn field<'a>(b: &'a [u8], key: &[u8]) -> Option<(u64, &'a [u8])> {
     let b = b.strip_prefix(key)?;
@@ -387,13 +397,16 @@ fn field<'a>(b: &'a [u8], key: &[u8]) -> Option<(u64, &'a [u8])> {
         .iter()
         .position(|d| !d.is_ascii_digit())
         .unwrap_or(b.len());
-    if run == 0 {
-        return None;
-    }
-    let mut n = 0u64;
-    for &d in &b[..run] {
-        n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
-    }
+    let digits = &b[..run];
+    let n = match run {
+        0 => return None,
+        1..=UNCHECKED_DIGITS => digits
+            .iter()
+            .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0')),
+        _ => digits.iter().try_fold(0u64, |n, &d| {
+            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })?,
+    };
     Some((n, &b[run..]))
 }
 
@@ -1128,6 +1141,19 @@ mod tests {
             parse_canonical(br#"{"ts":007,"item":00,"offset":0,"len":01,"kind":"Read"}"#),
             Some(rec2(7, 0, 0, 1, IoKind::Read))
         );
+        // The longest unchecked run, and checked runs one digit longer.
+        for (ts, want) in [
+            ("9999999999999999999", 9_999_999_999_999_999_999),
+            ("00000000000000000001", 1),
+            ("18446744073709551615", u64::MAX),
+        ] {
+            let line = format!(r#"{{"ts":{ts},"item":1,"offset":2,"len":3,"kind":"Write"}}"#);
+            assert_eq!(
+                parse_canonical(line.as_bytes()),
+                Some(rec2(want, 1, 2, 3, IoKind::Write)),
+                "{ts}"
+            );
+        }
         // Everything else is the general grammar's to parse or word.
         for other in [
             r#"{"ts":18446744073709551616,"item":1,"offset":0,"len":1,"kind":"Read"}"#,

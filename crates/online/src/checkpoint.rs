@@ -117,16 +117,34 @@ impl Enc {
         }
     }
 
-    fn u64(&mut self, v: u64) {
-        let mut s = String::new();
-        let _ = write!(s, "{v}");
-        self.tok(&s);
+    /// Pushes an ASCII token formatted into a stack buffer.
+    fn tok_ascii(&mut self, t: &[u8]) {
+        self.tok(std::str::from_utf8(t).expect("ASCII token"));
     }
 
+    fn u64(&mut self, mut v: u64) {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.tok_ascii(&buf[at..]);
+    }
+
+    /// The value's bit pattern as 16 lower-case hex digits.
     fn f64(&mut self, v: f64) {
-        let mut s = String::new();
-        let _ = write!(s, "{:016x}", v.to_bits());
-        self.tok(&s);
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bits = v.to_bits();
+        let mut buf = [0u8; 16];
+        for (k, b) in buf.iter_mut().enumerate() {
+            *b = HEX[(bits >> (60 - 4 * k)) as usize & 0xf];
+        }
+        self.tok_ascii(&buf);
     }
 
     fn micros(&mut self, v: Micros) {
@@ -794,6 +812,35 @@ mod tests {
                     count_at_last_ts: 1,
                 }],
             },
+        }
+    }
+
+    /// The encoder's bytes for `sample()`, pinned: tokens, their order,
+    /// the 100-column soft wrap and the float bit patterns.
+    #[test]
+    fn encoding_matches_the_golden_bytes() {
+        let golden = concat!(
+            "ees.checkpoint.v1 watermark 1234 99000000 placement 2 1 0 4096 7 3 1073741824 sequential 1 7\n",
+            "controller 52000000 60000000 600000000 3 1 planner history 1 0 60000000 1 2 0 3 2 2 1 P1 0 7 P3 0 8\n",
+            "1 1 4096 1 2 405edd3c07ee0b0b triggers armed 60000000 60000000 52000000 60000000 1 0 61000000 1 3 2\n",
+            "1 62000000 3 5 items 1 1 1 60000000 52000000 1 61000000 120000000 1 60000000 61000000 4 1 +\n",
+            "120000000 121000000 1 0 121000000 5 1 20480 4096 3 0 3 1 121000000 1 interner 3\n",
+            "n64622f75736572732e696264 n6c6f67732f617070206c6f67 n end\n",
+        );
+        assert_eq!(encode_checkpoint(&sample()), golden);
+    }
+
+    #[test]
+    fn number_tokens_match_std_formatting() {
+        for v in [0, 9, 10, 1234, u64::MAX - 1, u64::MAX] {
+            let mut e = Enc::new();
+            e.u64(v);
+            assert_eq!(e.out, v.to_string());
+        }
+        for v in [0.0, -0.0, 123.456789, f64::MAX, f64::NAN] {
+            let mut e = Enc::new();
+            e.f64(v);
+            assert_eq!(e.out, format!("{:016x}", v.to_bits()));
         }
     }
 

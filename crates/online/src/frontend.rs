@@ -52,7 +52,7 @@
 //! cap, so the cut overlaps with parsing instead of stalling it.
 
 use ees_iotrace::chunk::{ChunkReader, ChunkRef, RawChunk, SliceChunker, DEFAULT_CHUNK_BYTES};
-use ees_iotrace::ndjson::parse_event_borrowed;
+use ees_iotrace::ndjson::{parse_canonical, parse_event_borrowed};
 use ees_iotrace::wire::{
     decode_block, sniff_format, BinaryEventReader, BlockSplitter, NamedEvent, StreamFormat,
     WireRecord, MAX_BLOCK_BYTES, TAG_BLOCK,
@@ -176,7 +176,8 @@ impl ParsedChunk {
     }
 }
 
-/// Runs the per-line front end over one raw chunk: UTF-8 check, trim,
+/// Runs the per-line front end over one raw chunk: the written layout
+/// ([`parse_canonical`]) on the raw bytes, else UTF-8 check, trim,
 /// blank/comment skip, full parse. Stops at the first failure — the
 /// records after an error are never observable downstream, matching the
 /// serial reader's abort-at-first-error shape.
@@ -194,6 +195,12 @@ pub fn parse_lines(seq: u64, first_lineno: u64, bytes: &[u8]) -> ParsedChunk {
     };
     let mut parsed = ParsedChunk::empty(seq);
     for (lineno, raw) in chunk.lines() {
+        // The written layout first, on the raw bytes: a line it takes
+        // would pass the UTF-8 check and the trim unchanged.
+        if let Some(rec) = parse_canonical(raw) {
+            parsed.records.push(rec);
+            continue;
+        }
         let Ok(text) = std::str::from_utf8(raw) else {
             parsed.error = Some(ChunkError::Utf8);
             break;
@@ -906,6 +913,136 @@ mod tests {
             err.to_io_error().to_string(),
             "stream did not contain valid UTF-8"
         );
+    }
+
+    /// [`parse_lines`] without the raw-byte match: each line's UTF-8
+    /// check, trim and blank/comment skip, then [`parse_event_borrowed`].
+    fn parse_lines_per_line(seq: u64, first_lineno: u64, bytes: &[u8]) -> ParsedChunk {
+        let chunk = ChunkRef {
+            seq,
+            first_lineno,
+            bytes,
+        };
+        let mut parsed = ParsedChunk::empty(seq);
+        for (lineno, raw) in chunk.lines() {
+            let Ok(text) = std::str::from_utf8(raw) else {
+                parsed.error = Some(ChunkError::Utf8);
+                break;
+            };
+            let trimmed = text.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                continue;
+            }
+            match parse_event_borrowed(trimmed) {
+                Ok(rec) => parsed.records.push(rec),
+                Err(msg) => {
+                    parsed.error = Some(ChunkError::Parse { lineno, msg });
+                    break;
+                }
+            }
+        }
+        parsed
+    }
+
+    mod parse_parity {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Digit runs around the raw-byte match's limits: 19 digits
+        /// folded unchecked, 20 folded checked, and runs past `u64`.
+        fn number() -> impl Strategy<Value = String> {
+            prop_oneof![
+                3 => any::<u64>().prop_map(|n| n.to_string()),
+                2 => any::<u32>().prop_map(|n| n.to_string()),
+                2 => prop::sample::select(vec![
+                    "0".to_string(),
+                    "9999999999999999999".to_string(),
+                    "0000000000000000042".to_string(),
+                    "10000000000000000000".to_string(),
+                    "00000000000000000007".to_string(),
+                    u64::MAX.to_string(),
+                    "18446744073709551616".to_string(),
+                    "99999999999999999999999".to_string(),
+                    u32::MAX.to_string(),
+                    (u64::from(u32::MAX) + 1).to_string(),
+                ]),
+            ]
+        }
+
+        /// One written-layout line, then one edit: 0 none, 1 surrounding
+        /// whitespace, 2 a CR before the newline, 3 a `#` comment, 4 a
+        /// blank line, 5 an invalid UTF-8 byte, 6 a byte insertion, 7 a
+        /// byte substitution.
+        fn line() -> impl Strategy<Value = Vec<u8>> {
+            (
+                (number(), number(), number(), number()),
+                any::<bool>(),
+                (0u8..8, 0usize..96, any::<u8>()),
+            )
+                .prop_map(|((ts, item, offset, len), write, (edit, at, byte))| {
+                    let kind = if write { "Write" } else { "Read" };
+                    let mut l = format!(
+                        r#"{{"ts":{ts},"item":{item},"offset":{offset},"len":{len},"kind":"{kind}"}}"#
+                    )
+                    .into_bytes();
+                    let at = at % (l.len() + 1);
+                    match edit {
+                        1 => {
+                            l.insert(0, b" \t"[at % 2]);
+                            l.push(b' ');
+                        }
+                        2 => l.push(b'\r'),
+                        3 => l.insert(0, b'#'),
+                        4 => l.clear(),
+                        5 => l.insert(at, 0x80 | (byte & 0x3f)),
+                        6 => l.insert(at, byte),
+                        7 if at < l.len() => l[at] = byte,
+                        _ => {}
+                    }
+                    l
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// Arbitrary bytes, mostly from the grammar's alphabet: the
+            /// same records, error, line number and message.
+            #[test]
+            fn raw_byte_match_keeps_the_per_line_result_on_arbitrary_bytes(
+                bytes in prop::collection::vec(
+                    prop_oneof![
+                        4 => prop::sample::select(b"{}\":,0123456789 \t\r\n#kindRW".to_vec()),
+                        1 => any::<u8>(),
+                    ],
+                    0..200,
+                ),
+                first in 1u64..1000,
+            ) {
+                prop_assert_eq!(
+                    parse_lines(3, first, &bytes),
+                    parse_lines_per_line(3, first, &bytes)
+                );
+            }
+
+            /// Runs of edited written-layout lines, with and without a
+            /// final newline.
+            #[test]
+            fn raw_byte_match_keeps_the_per_line_result_on_edited_lines(
+                lines in prop::collection::vec(line(), 0..12),
+                final_newline in any::<bool>(),
+                first in 1u64..1000,
+            ) {
+                let mut bytes = lines.join(&b'\n');
+                if final_newline {
+                    bytes.push(b'\n');
+                }
+                prop_assert_eq!(
+                    parse_lines(3, first, &bytes),
+                    parse_lines_per_line(3, first, &bytes)
+                );
+            }
+        }
     }
 
     #[test]

@@ -896,8 +896,12 @@ mod tests {
         let p = path.clone();
         let sender = std::thread::spawn(move || {
             let mut s = UnixStream::connect(&p).unwrap();
+            // The merger may hang up before all 100 lines are written;
+            // the write then fails (`BrokenPipe`) and the sender stops.
             for ts in 0..100u64 {
-                s.write_all(ndjson_line(ts, 1).as_bytes()).unwrap();
+                if s.write_all(ndjson_line(ts, 1).as_bytes()).is_err() {
+                    break;
+                }
             }
         });
         assert_eq!(rx.recv().unwrap().len(), 8);

@@ -72,8 +72,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Records buffered per shard before a batch is shipped.
-const RECORD_FLUSH: usize = 256;
+/// Records buffered per shard before a batch is shipped: each batch
+/// costs the worker one wake-up (DESIGN.md §12 has the sweep that
+/// picked this size).
+const RECORD_FLUSH: usize = 1024;
 /// Default batches in flight per shard channel (bounds coordinator
 /// run-ahead); override with [`ShardOptions::queue`].
 pub const SHARD_QUEUE: usize = 8;
@@ -265,10 +267,10 @@ struct ShardLedger {
     /// (rollover: empty at the new period start; checkpoint: the
     /// snapshot). `period_start` is carried by the controller.
     base: Vec<ItemCheckpoint>,
-    /// Batches shipped since `base`, in shipping order. Nothing is
-    /// shipped while a cut is in flight, so mid-cut this is exactly the
-    /// closing period's input.
-    journal: Vec<Vec<LogicalIoRecord>>,
+    /// Records shipped since `base`, in shipping order: every shipped
+    /// batch appended whole. Nothing is shipped while a cut is in
+    /// flight, so mid-cut this is exactly the closing period's input.
+    journal: Vec<LogicalIoRecord>,
 }
 
 /// A rollover that has been cut ([`ShardedController::rollover_begin`])
@@ -364,7 +366,9 @@ impl ShardedController {
             options,
             senders: (0..shards).map(|_| None).collect(),
             handles: (0..shards).map(|_| None).collect(),
-            pending: (0..shards).map(|_| Vec::new()).collect(),
+            pending: (0..shards)
+                .map(|_| Vec::with_capacity(RECORD_FLUSH))
+                .collect(),
             ledgers: (0..shards).map(|_| ShardLedger::default()).collect(),
             quarantined: (0..shards).map(|_| None).collect(),
             events: Vec::new(),
@@ -510,11 +514,12 @@ impl ShardedController {
         }
     }
 
-    /// Loads the shard's base state and replays its journal into a
-    /// freshly spawned worker. While a cut is in flight the caller
-    /// re-sends the cut message *after* this returns; nothing is routed
-    /// mid-cut, so the replay order matches the original shipping order
-    /// exactly. `Err(())` when the worker died mid-replay.
+    /// Loads the shard's base state and replays its journal, in
+    /// batch-sized chunks, into a freshly spawned worker. While a cut is
+    /// in flight the caller re-sends the cut message *after* this
+    /// returns; nothing is routed mid-cut, so the replay order matches
+    /// the original shipping order exactly. `Err(())` when the worker
+    /// died mid-replay.
     fn replay_into(&self, shard: usize) -> Result<(), ()> {
         let ledger = &self.ledgers[shard];
         let Some(tx) = self.senders[shard].as_ref() else {
@@ -525,8 +530,8 @@ impl ShardedController {
             items: ledger.base.clone(),
         };
         tx.send(load).map_err(|_| ())?;
-        for batch in ledger.journal.iter().cloned() {
-            tx.send(ShardMsg::Records(batch)).map_err(|_| ())?;
+        for batch in ledger.journal.chunks(RECORD_FLUSH) {
+            tx.send(ShardMsg::Records(batch.to_vec())).map_err(|_| ())?;
         }
         Ok(())
     }
@@ -630,10 +635,10 @@ impl ShardedController {
         if self.pending[shard].is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.pending[shard]);
+        let batch = std::mem::replace(&mut self.pending[shard], Vec::with_capacity(RECORD_FLUSH));
         // Journal before sending, so a send that fails because the
         // worker just died still replays this batch.
-        self.ledgers[shard].journal.push(batch.clone());
+        self.ledgers[shard].journal.extend_from_slice(&batch);
         self.send_journaled_or_park(shard, ShardMsg::Records(batch));
     }
 
@@ -1126,6 +1131,63 @@ mod tests {
             .iter()
             .all(|e| e.severity() == Severity::Recoverable));
         assert_eq!(clean_plans, chaotic_plans);
+    }
+
+    /// A worker that dies between two shipped batches of one period is
+    /// found by the next batch's send on the hot path, not by a barrier,
+    /// and rebuilt from the journal: the plans match a clean run's.
+    #[test]
+    fn hot_path_send_revives_a_worker_dead_between_batches() {
+        use crate::fault::PanicSchedule;
+        use std::time::Instant;
+        let placement = placement(16);
+        let v = views(&placement);
+        let break_even = Micros::from_secs(52);
+        // 50 records a second: several batches per shard per period.
+        let records: Vec<LogicalIoRecord> = (0..80_000u32)
+            .map(|i| rec(i as f64 * 0.02, i % 16))
+            .collect();
+        let mut clean = ShardedController::new(cfg(), break_even, 2);
+        let clean_plans = run_to_plans(&mut clean, &placement, &v, &records);
+        assert!(clean_plans.len() >= 2);
+
+        // Shard 0 dies folding the last record of its first batch.
+        crate::fault::silence_injected_panics();
+        let schedule = PanicSchedule::new([(0usize, RECORD_FLUSH as u64 - 1)]);
+        let opts = ShardOptions {
+            panic_schedule: Some(schedule),
+            ..ShardOptions::default()
+        };
+        let mut ctl = ShardedController::with_options(cfg(), break_even, 2, opts);
+        // Stream positions just past shard 0's first and second batch.
+        let shard0: Vec<usize> = (0..records.len())
+            .filter(|&i| shard_of(records[i].item, 2) == 0)
+            .collect();
+        let first = shard0[RECORD_FLUSH - 1] + 1;
+        let second = shard0[2 * RECORD_FLUSH - 1] + 1;
+        let mut plans = run_to_plans(&mut ctl, &placement, &v, &records[..first]);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !ctl.worker_dead(0) {
+            assert!(Instant::now() < deadline, "the panic never fired");
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            ctl.respawns(),
+            0,
+            "nothing has been sent to the dead worker"
+        );
+        plans.extend(run_to_plans(
+            &mut ctl,
+            &placement,
+            &v,
+            &records[first..second],
+        ));
+        assert_eq!(ctl.periods(), 0, "both batches belong to the first period");
+        assert_eq!(ctl.respawns(), 1, "the second batch's send found the death");
+        assert_eq!(ctl.ledgers[0].journal.len(), 2 * RECORD_FLUSH);
+        plans.extend(run_to_plans(&mut ctl, &placement, &v, &records[second..]));
+        assert_eq!(ctl.respawns(), 1);
+        assert_eq!(plans, clean_plans);
     }
 
     #[test]
